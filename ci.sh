@@ -23,6 +23,9 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release --test overhead (Null-sink overhead guard; self-skips in debug)"
+cargo test --release --offline --test overhead
+
 echo "==> bddfc-prof --check (deterministic telemetry self-check)"
 cargo run -q --release -p bddfc-bench --bin bddfc-prof -- --workload e13 --check
 
@@ -74,7 +77,7 @@ cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- --replay tests/corpus
 echo "==> bddfc-fuzz --budget-ms 5000 (fresh-seed differential smoke)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- --seed 1 --budget-ms 5000
 
-echo "==> bddfc-fuzz join_kernel_vs_tuple_oracle (batch kernel vs tuple oracle)"
+echo "==> bddfc-fuzz join_kernel_vs_tuple_oracle (join kernel rows vs hom oracle)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop join_kernel_vs_tuple_oracle
 

@@ -325,8 +325,8 @@ impl Report {
         let mut out = String::new();
         for t in &tables {
             let denom = self.engine_root_ns(t.engine);
-            // Events without a wall_ns gauge (e.g. hom/scan) would only
-            // render a column of zeros — omit it.
+            // Events without a wall_ns gauge would only render a column
+            // of zeros — omit it.
             let timed = self.show_gauges && t.rows.iter().any(|r| r.ns > 0);
             let _ = writeln!(out, "profile — {}/{} by {}", t.engine, t.event, t.kind);
             // Column headers: label, events, each field, then gauges.
@@ -644,16 +644,8 @@ mod tests {
         let tables = r.render_tables();
         assert!(tables.contains("chase/trigger by rule"), "{tables}");
         assert!(tables.contains("E(X,Y), E(Y,Z) -> E(X,Z)"), "{tables}");
-        // Batch mode (the default) attributes joins; tuple mode scans.
-        match bddfc_core::join::join_mode() {
-            bddfc_core::join::JoinMode::Batch => {
-                assert!(tables.contains("join/build by pred"), "{tables}");
-                assert!(tables.contains("join/probe by pred"), "{tables}");
-            }
-            bddfc_core::join::JoinMode::Tuple => {
-                assert!(tables.contains("hom/scan by pred"), "{tables}");
-            }
-        }
+        assert!(tables.contains("join/build by pred"), "{tables}");
+        assert!(tables.contains("join/probe by pred"), "{tables}");
         // The folded output has the run/round span prefix.
         let folded = r.render_folded();
         assert!(folded.lines().all(|l| l.rsplit_once(' ').is_some()), "{folded}");

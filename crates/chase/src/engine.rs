@@ -28,13 +28,13 @@
 //! round.
 
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
-use bddfc_core::join::{self, JoinMode};
+use bddfc_core::join;
 use bddfc_core::obs::{Event, EventSink, Null, SpanTimer, NULL};
 use bddfc_core::par;
 use bddfc_core::{
     hom, Binding, ConstId, Fact, Instance, PredId, Rule, Term, Theory, VarId, Vocabulary,
 };
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Which chase variant to run.
@@ -252,19 +252,6 @@ fn key_of_row(batch: &join::BindingBatch, slots: &[usize], row: usize) -> Key {
             (u64::from(batch.get(row, a).0) << 32) | u64::from(batch.get(row, b).0),
         ),
         _ => Key::Wide(slots.iter().map(|&s| batch.get(row, s)).collect()),
-    }
-}
-
-/// Extracts the frontier key of a full body binding (tuple engine).
-/// Packs exactly like [`key_of_row`] so both engines dedup, fire and
-/// sort on identical keys.
-#[inline]
-fn key_of_binding(frontier: &[VarId], b: &Binding) -> Key {
-    match frontier {
-        [] => Key::Packed(0),
-        [x] => Key::Packed(u64::from(b[x].0)),
-        [x, y] => Key::Packed((u64::from(b[x].0) << 32) | u64::from(b[y].0)),
-        _ => Key::Wide(frontier.iter().map(|v| b[v]).collect()),
     }
 }
 
@@ -558,11 +545,8 @@ struct RoundWork {
     /// Per-rule attribution, indexed by rule; **empty** when telemetry
     /// is disabled (the collectors size it iff `S::ENABLED`).
     rule_work: Vec<RuleWork>,
-    /// Per-predicate hom candidate-scan attribution (empty when
-    /// telemetry is disabled; tuple engine only).
-    scans: hom::ScanStats,
     /// Per-predicate join build/probe attribution (empty when telemetry
-    /// is disabled; batch engine only).
+    /// is disabled).
     joins: join::JoinStats,
 }
 
@@ -668,358 +652,41 @@ fn sorted_frontier(rule: &Rule) -> Vec<VarId> {
     frontier
 }
 
-/// Enumerates one rule's body homomorphisms over the whole instance,
-/// deduplicating by frontier key. Read-only: safe as a parallel work
-/// item. When `scans` is given, candidate-list walks are charged to
-/// their predicates for `hom/scan` attribution.
-fn enumerate_rule_naive(
-    inst: &Instance,
-    theory: &Theory,
-    rule_idx: usize,
-    frontier: &[VarId],
-    scans: Option<&mut hom::ScanStats>,
-) -> (Vec<Candidate>, u64) {
-    let rule = &theory.rules[rule_idx];
-    let mut seen: FxHashSet<Key> = FxHashSet::default();
-    let mut out = Vec::new();
-    let mut matches = 0u64;
-    let mut visit = |b: &Binding| {
-        matches += 1;
-        let key = key_of_binding(frontier, b);
-        if seen.insert(key.clone()) {
-            out.push(Candidate { rule_idx, key });
-        }
-        ControlFlow::Continue(())
-    };
-    let _ = match scans {
-        Some(s) => {
-            hom::for_each_hom_scanned(inst, &rule.body, &Binding::default(), s, &mut visit)
-        }
-        None => hom::for_each_hom(inst, &rule.body, &Binding::default(), &mut visit),
-    };
-    (out, matches)
-}
+/// One trigger-collection work item: a rule body evaluated by the batch
+/// join kernel over the whole instance (`None`) or with one body atom
+/// pinned to a tail segment of its relation (`Some((pin, delta tail))`).
+type WorkItem = (usize, Option<(usize, Range<usize>)>);
 
-/// Enumerates one rule's body over the columnar store with the batched
-/// join kernel, deduplicating by frontier key. The batch's rows are in
-/// 1:1 correspondence with the body's homomorphisms (facts are
-/// deduplicated, so a ground body atom under an assignment is exactly one
-/// relation row), so the returned match count equals the tuple engine's
-/// exactly; the candidate *set* is also equal because the restricted
-/// binding is a pure function of the frontier key.
-fn enumerate_rule_batch(
-    inst: &Instance,
-    theory: &Theory,
-    rule_idx: usize,
-    frontier: &[VarId],
-    joins: Option<&mut join::JoinStats>,
-    priors: Option<&join::Priors>,
-) -> (Vec<Candidate>, u64) {
-    let rule = &theory.rules[rule_idx];
-    let batch = join::eval_body_with_priors(inst.columnar(), &rule.body, None, joins, priors);
-    let matches = batch.rows() as u64;
-    if batch.rows() == 0 {
-        return (Vec::new(), 0);
-    }
-    // A non-empty batch binds every body variable, so every frontier
-    // variable has a schema slot (body-less rules have empty frontiers).
-    let slots: Vec<usize> = frontier
-        .iter()
-        .map(|&v| batch.col_of(v).expect("frontier variable bound by body"))
-        .collect();
-    let mut seen: FxHashSet<Key> = FxHashSet::default();
-    let mut out = Vec::new();
-    for row in 0..batch.rows() {
-        let key = key_of_row(&batch, &slots, row);
-        if seen.insert(key.clone()) {
-            out.push(Candidate { rule_idx, key });
-        }
-    }
-    (out, matches)
-}
-
-/// Collects this round's repairs against the *frozen* instance by full
-/// re-enumeration, per the simultaneous semantics of `Chase¹`. Rules are
-/// independent work items and enumerate in parallel; admission runs on
-/// the merged candidate list. Generic over the sink *type* only: with
-/// `S::ENABLED == false` (the `Null` sink) every attribution branch is
-/// statically eliminated and the kernel is the PR-3 one.
+/// Collects this round's repairs against the *frozen* instance, per the
+/// simultaneous semantics of `Chase¹`. The two strategies differ only in
+/// their work items:
 ///
-/// The join mode ([`join::join_mode`]) is resolved here, on the calling
-/// thread, *before* the parallel region — thread-local overrides do not
-/// propagate into `par` workers.
-fn collect_repairs_naive<S: EventSink>(
-    inst: &Instance,
-    theory: &Theory,
-    templates: &[RuleTemplate],
-    variant: ChaseVariant,
-    fired: &mut FxHashSet<(usize, Key)>,
-    priors: Option<&join::Priors>,
-    work: &mut RoundWork,
-) -> Vec<Repair> {
-    if S::ENABLED && work.rule_work.is_empty() {
-        work.rule_work = vec![RuleWork::default(); theory.rules.len()];
-    }
-    let mode = join::join_mode();
-    let per_rule: Vec<(Vec<Candidate>, u64, u64, hom::ScanStats, join::JoinStats)> =
-        par::par_chunks(theory.rules.len(), |range| {
-            range
-                .map(|rule_idx| match (mode, S::ENABLED) {
-                    (JoinMode::Batch, true) => {
-                        let timer = SpanTimer::start();
-                        let mut joins = join::JoinStats::default();
-                        let (c, m) =
-                            enumerate_rule_batch(inst, theory, rule_idx, &templates[rule_idx].frontier, Some(&mut joins), priors);
-                        (c, m, timer.elapsed_ns(), hom::ScanStats::default(), joins)
-                    }
-                    (JoinMode::Batch, false) => {
-                        let (c, m) = enumerate_rule_batch(inst, theory, rule_idx, &templates[rule_idx].frontier, None, priors);
-                        (c, m, 0, hom::ScanStats::default(), join::JoinStats::default())
-                    }
-                    (JoinMode::Tuple, true) => {
-                        let timer = SpanTimer::start();
-                        let mut scans = hom::ScanStats::default();
-                        let (c, m) =
-                            enumerate_rule_naive(inst, theory, rule_idx, &templates[rule_idx].frontier, Some(&mut scans));
-                        (c, m, timer.elapsed_ns(), scans, join::JoinStats::default())
-                    }
-                    (JoinMode::Tuple, false) => {
-                        let (c, m) = enumerate_rule_naive(inst, theory, rule_idx, &templates[rule_idx].frontier, None);
-                        (c, m, 0, hom::ScanStats::default(), join::JoinStats::default())
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut cands = Vec::new();
-    for (rule_idx, (rule_cands, matches, enum_ns, scans, joins)) in
-        per_rule.into_iter().enumerate()
-    {
-        work.body_matches += matches;
-        if S::ENABLED {
-            work.rule_work[rule_idx].body_matches += matches;
-            work.rule_work[rule_idx].enum_ns += enum_ns;
-            work.scans.merge(&scans);
-            work.joins.merge(&joins);
-        }
-        cands.extend(rule_cands);
-    }
-    admit_candidates(inst, theory, templates, variant, fired, cands, work)
-}
-
-/// Attempts to bind `atom` against the ground `fact`; returns the binding
-/// of the atom's variables, or `None` on clash.
-fn bind_atom(atom: &bddfc_core::Atom, fact: &Fact) -> Option<Binding> {
-    let mut binding = Binding::default();
-    for (term, &c) in atom.args.iter().zip(fact.args.iter()) {
-        match term {
-            Term::Const(k) => {
-                if *k != c {
-                    return None;
-                }
-            }
-            Term::Var(v) => match binding.get(v) {
-                Some(&b) if b != c => return None,
-                _ => {
-                    binding.insert(*v, c);
-                }
-            },
-        }
-    }
-    Some(binding)
-}
-
-/// Collects this round's repairs semi-naively: only body matches that use
-/// at least one fact of `delta` (the previous round's new facts) are
-/// enumerated, by pinning each body atom to delta facts in turn and
-/// completing the join against the full frozen instance. Witness checks
-/// also consult the full instance. `first_round` makes body-less rules
-/// (which join nothing) fire on the opening round.
-fn collect_repairs_seminaive<S: EventSink>(
-    inst: &Instance,
-    theory: &Theory,
-    templates: &[RuleTemplate],
-    variant: ChaseVariant,
-    fired: &mut FxHashSet<(usize, Key)>,
-    delta: &[Fact],
-    first_round: bool,
-    priors: Option<&join::Priors>,
-    work: &mut RoundWork,
-) -> Vec<Repair> {
-    // Resolved on the calling thread (thread-local overrides do not cross
-    // into `par` workers).
-    if join::join_mode() == JoinMode::Batch {
-        return collect_repairs_seminaive_batch::<S>(
-            inst,
-            theory,
-            templates,
-            variant,
-            fired,
-            delta,
-            first_round,
-            priors,
-            work,
-        );
-    }
-    // The tuple engine orders atoms inside the homomorphism search
-    // itself; priors only steer the batch planner.
-    let _ = priors;
-    if S::ENABLED && work.rule_work.is_empty() {
-        work.rule_work = vec![RuleWork::default(); theory.rules.len()];
-    }
-    let mut delta_by_pred: FxHashMap<PredId, Vec<&Fact>> = FxHashMap::default();
-    for f in delta {
-        delta_by_pred.entry(f.pred).or_default().push(f);
-    }
-    // A `(rule, pinned atom, delta fact)` join is an independent, read-only
-    // work item. Flatten them in the canonical (rule, pin, delta-order)
-    // nesting so the merged candidate stream is the sequential one.
-    struct Work<'a> {
-        rule_idx: usize,
-        pin: usize,
-        dfact: &'a Fact,
-    }
-    // Per-shard attribution (rule wall/matches + predicate scans),
-    // merged sequentially; `None` when telemetry is disabled.
-    struct ShardAttr {
-        rule_matches: Vec<u64>,
-        rule_ns: Vec<u64>,
-        scans: hom::ScanStats,
-    }
-    let mut cands: Vec<Candidate> = Vec::new();
-    let mut items: Vec<Work> = Vec::new();
-    for (rule_idx, rule) in theory.rules.iter().enumerate() {
-        if rule.body.is_empty() {
-            // A body-less rule has the single empty trigger; it cannot join
-            // a delta, so it is only ever *new* on the opening round.
-            if first_round {
-                work.body_matches += 1;
-                if S::ENABLED {
-                    work.rule_work[rule_idx].body_matches += 1;
-                }
-                cands.push(Candidate { rule_idx, key: Key::Packed(0) });
-            }
-            continue;
-        }
-        for pin in 0..rule.body.len() {
-            let Some(dfacts) = delta_by_pred.get(&rule.body[pin].pred) else { continue };
-            items.extend(dfacts.iter().map(|&dfact| Work { rule_idx, pin, dfact }));
-        }
-    }
-    // The pinned atom's residual body, per (rule, pin), shared read-only
-    // across shards.
-    let rests: Vec<Vec<Vec<bddfc_core::Atom>>> = theory
-        .rules
-        .iter()
-        .map(|rule| {
-            (0..rule.body.len())
-                .map(|pin| {
-                    rule.body
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != pin)
-                        .map(|(_, a)| a.clone())
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    // Phase 1 (parallel): complete each pinned join against the frozen
-    // instance; every shard emits candidates in work-list order.
-    let shard_out: Vec<(Vec<Candidate>, u64, Option<ShardAttr>)> =
-        par::par_chunks(items.len(), |range| {
-            let mut out = Vec::new();
-            let mut matches = 0u64;
-            let mut attr = if S::ENABLED {
-                Some(ShardAttr {
-                    rule_matches: vec![0; theory.rules.len()],
-                    rule_ns: vec![0; theory.rules.len()],
-                    scans: hom::ScanStats::default(),
-                })
-            } else {
-                None
-            };
-            for w in &items[range] {
-                let rule = &theory.rules[w.rule_idx];
-                let Some(binding) = bind_atom(&rule.body[w.pin], w.dfact) else { continue };
-                let frontier = &templates[w.rule_idx].frontier;
-                let before = matches;
-                let mut visit = |b: &Binding| {
-                    matches += 1;
-                    let key = key_of_binding(frontier, b);
-                    out.push(Candidate { rule_idx: w.rule_idx, key });
-                    ControlFlow::Continue(())
-                };
-                match attr.as_mut() {
-                    Some(a) => {
-                        let timer = SpanTimer::start();
-                        let _ = hom::for_each_hom_scanned(
-                            inst,
-                            &rests[w.rule_idx][w.pin],
-                            &binding,
-                            &mut a.scans,
-                            &mut visit,
-                        );
-                        a.rule_ns[w.rule_idx] += timer.elapsed_ns();
-                        a.rule_matches[w.rule_idx] += matches - before;
-                    }
-                    None => {
-                        let _ = hom::for_each_hom(
-                            inst,
-                            &rests[w.rule_idx][w.pin],
-                            &binding,
-                            &mut visit,
-                        );
-                    }
-                }
-            }
-            (out, matches, attr)
-        });
-    // Phase 2 (sequential): merge in input order, dedup per (rule, key) —
-    // first occurrence wins, and its restricted binding is determined by
-    // the key, so the surviving set is shard-split-independent.
-    let mut seen: FxHashSet<(usize, Key)> = FxHashSet::default();
-    for (shard, matches, attr) in shard_out {
-        work.body_matches += matches;
-        if let Some(a) = attr {
-            for (rw, (&m, &ns)) in
-                work.rule_work.iter_mut().zip(a.rule_matches.iter().zip(&a.rule_ns))
-            {
-                rw.body_matches += m;
-                rw.enum_ns += ns;
-            }
-            work.scans.merge(&a.scans);
-        }
-        for c in shard {
-            if seen.insert((c.rule_idx, c.key.clone())) {
-                cands.push(c);
-            }
-        }
-    }
-    admit_candidates(inst, theory, templates, variant, fired, cands, work)
-}
-
-/// The batched-kernel counterpart of [`collect_repairs_seminaive`]: the
-/// same `(rule, pinned atom)` decomposition, but each pinned atom joins
-/// its *whole* delta segment in one kernel call instead of one call per
-/// delta fact. The delta exploits the append-only columnar layout:
-/// between rounds nothing but the round's new facts is inserted, so the
-/// delta facts of predicate `p` are exactly the last `delta_count(p)`
-/// rows of `p`'s relation — a contiguous tail segment, no copying.
+/// * [`ChaseStrategy::Naive`] evaluates every rule body unpinned, once
+///   per rule;
+/// * [`ChaseStrategy::SemiNaive`] evaluates one item per `(rule, body
+///   atom)`, the atom pinned to its delta tail, so only matches joining
+///   at least one fact of `delta` are enumerated. The delta exploits the
+///   append-only columnar layout: between rounds nothing but the round's
+///   new facts is inserted, so the delta facts of predicate `p` are
+///   exactly the last `delta_count(p)` rows of `p`'s relation — a
+///   contiguous segment, no copying. A body-less rule joins no delta, so
+///   its single empty trigger is only ever new on the opening round
+///   (`first_round`).
 ///
-/// Candidates carry `(rule, key)` only out of the parallel phase; the
-/// frontier-restricted binding is a pure function of the key and is
-/// materialized after global first-occurrence dedup, so the surviving
-/// candidate set (and everything downstream) is identical to the tuple
-/// path's at any shard split.
-fn collect_repairs_seminaive_batch<S: EventSink>(
+/// Items are read-only and run in parallel, emitting `(rule, key)` pairs
+/// only (everything a trigger grounds is a pure function of the pair).
+/// Global first-occurrence dedup and admission then run sequentially on
+/// the merged stream, so the surviving candidates are identical at any
+/// shard split. Generic over the sink *type* only: with `S::ENABLED ==
+/// false` (the `Null` sink) every attribution branch is statically
+/// eliminated.
+fn collect_repairs<S: EventSink>(
     inst: &Instance,
     theory: &Theory,
     templates: &[RuleTemplate],
     variant: ChaseVariant,
     fired: &mut FxHashSet<(usize, Key)>,
+    strategy: ChaseStrategy,
     delta: &[Fact],
     first_round: bool,
     priors: Option<&join::Priors>,
@@ -1028,36 +695,28 @@ fn collect_repairs_seminaive_batch<S: EventSink>(
     if S::ENABLED && work.rule_work.is_empty() {
         work.rule_work = vec![RuleWork::default(); theory.rules.len()];
     }
-    let mut delta_count: FxHashMap<PredId, usize> = FxHashMap::default();
-    for f in delta {
-        *delta_count.entry(f.pred).or_default() += 1;
-    }
-    let mut cands: Vec<Candidate> = Vec::new();
-    /// One `(rule, pinned atom)` join restricted to the pin's delta tail.
-    struct BatchWork {
-        rule_idx: usize,
-        pin: usize,
-        range: Range<usize>,
-    }
-    let mut items: Vec<BatchWork> = Vec::new();
-    for (rule_idx, rule) in theory.rules.iter().enumerate() {
-        if rule.body.is_empty() {
-            // Same as the tuple path: the single empty trigger is only
-            // ever new on the opening round.
-            if first_round {
-                work.body_matches += 1;
-                if S::ENABLED {
-                    work.rule_work[rule_idx].body_matches += 1;
-                }
-                cands.push(Candidate { rule_idx, key: Key::Packed(0) });
+    let mut items: Vec<WorkItem> = Vec::new();
+    match strategy {
+        ChaseStrategy::Naive => items.extend((0..theory.rules.len()).map(|r| (r, None))),
+        ChaseStrategy::SemiNaive => {
+            let mut delta_count: FxHashMap<PredId, usize> = FxHashMap::default();
+            for f in delta {
+                *delta_count.entry(f.pred).or_default() += 1;
             }
-            continue;
-        }
-        for pin in 0..rule.body.len() {
-            let Some(&k) = delta_count.get(&rule.body[pin].pred) else { continue };
-            let rows = inst.columnar().rows(rule.body[pin].pred);
-            debug_assert!(k <= rows, "delta larger than its relation");
-            items.push(BatchWork { rule_idx, pin, range: rows - k..rows });
+            for (rule_idx, rule) in theory.rules.iter().enumerate() {
+                if rule.body.is_empty() {
+                    if first_round {
+                        items.push((rule_idx, None));
+                    }
+                    continue;
+                }
+                for (pin, atom) in rule.body.iter().enumerate() {
+                    let Some(&k) = delta_count.get(&atom.pred) else { continue };
+                    let rows = inst.columnar().rows(atom.pred);
+                    debug_assert!(k <= rows, "delta larger than its relation");
+                    items.push((rule_idx, Some((pin, rows - k..rows))));
+                }
+            }
         }
     }
     /// Per-shard attribution, merged sequentially; `None` when telemetry
@@ -1068,10 +727,9 @@ fn collect_repairs_seminaive_batch<S: EventSink>(
         joins: join::JoinStats,
     }
     // Phase 1 (parallel): one kernel evaluation per work item; shards
-    // emit locally-new `(rule, packed key)` pairs in work-list order.
-    // Shard-local dedup is sound because phase 2 dedups again globally:
-    // the first occurrence in the merged stream survives either way, so
-    // the surviving set is still shard-split-independent.
+    // emit locally-new `(rule, key)` pairs in work-list order. Shard-local
+    // dedup is sound because phase 2 dedups again globally: the first
+    // occurrence in the merged stream survives either way.
     let shard_out: Vec<(Vec<(usize, Key)>, u64, Option<ShardAttr>)> =
         par::par_chunks(items.len(), |range| {
             let mut out = Vec::new();
@@ -1086,25 +744,27 @@ fn collect_repairs_seminaive_batch<S: EventSink>(
             } else {
                 None
             };
-            for w in &items[range] {
-                let rule = &theory.rules[w.rule_idx];
+            for (rule_idx, pinned) in &items[range] {
+                let rule_idx = *rule_idx;
                 let timer = attr.is_some().then(SpanTimer::start);
                 let batch = join::eval_body_with_priors(
                     inst.columnar(),
-                    &rule.body,
-                    Some((w.pin, w.range.clone())),
+                    &theory.rules[rule_idx].body,
+                    pinned.clone(),
                     attr.as_mut().map(|a| &mut a.joins),
                     priors,
                 );
                 matches += batch.rows() as u64;
                 if batch.rows() > 0 {
-                    let slots: Vec<usize> = templates[w.rule_idx]
+                    // A non-empty batch binds every body variable, so every
+                    // frontier variable has a schema slot.
+                    let slots: Vec<usize> = templates[rule_idx]
                         .frontier
                         .iter()
                         .map(|&v| batch.col_of(v).expect("frontier variable bound by body"))
                         .collect();
                     for row in 0..batch.rows() {
-                        let k = (w.rule_idx, key_of_row(&batch, &slots, row));
+                        let k = (rule_idx, key_of_row(&batch, &slots, row));
                         if !local_seen.contains(&k) {
                             local_seen.insert(k.clone());
                             out.push(k);
@@ -1112,18 +772,19 @@ fn collect_repairs_seminaive_batch<S: EventSink>(
                     }
                 }
                 if let Some(a) = attr.as_mut() {
-                    a.rule_ns[w.rule_idx] += timer.expect("timer set with attr").elapsed_ns();
-                    a.rule_matches[w.rule_idx] += batch.rows() as u64;
+                    a.rule_ns[rule_idx] += timer.expect("timer set with attr").elapsed_ns();
+                    a.rule_matches[rule_idx] += batch.rows() as u64;
                 }
             }
             (out, matches, attr)
         });
-    // Phase 2 (sequential): merge in input order, dedup per (rule, key),
-    // materialize the key-determined bindings for the survivors. With a
-    // single shard the local dedup above was already global, so the
-    // re-check is skipped (the surviving set is identical either way).
+    // Phase 2 (sequential): merge in input order and dedup per (rule,
+    // key). With a single shard the local dedup above was already global,
+    // so the re-check is skipped (the surviving set is identical either
+    // way).
     let single_shard = shard_out.len() == 1;
     let mut seen: FxHashSet<(usize, Key)> = FxHashSet::default();
+    let mut cands: Vec<Candidate> = Vec::new();
     for (shard, matches, attr) in shard_out {
         work.body_matches += matches;
         if let Some(a) = attr {
@@ -1212,12 +873,15 @@ pub fn chase_round(
 ) -> Vec<Fact> {
     let mut work = RoundWork::default();
     let templates: Vec<RuleTemplate> = theory.rules.iter().map(RuleTemplate::new).collect();
-    let repairs = collect_repairs_naive::<Null>(
+    let repairs = collect_repairs::<Null>(
         inst,
         theory,
         &templates,
         variant,
         &mut fired.0,
+        ChaseStrategy::Naive,
+        &[],
+        false,
         None,
         &mut work,
     );
@@ -1381,11 +1045,9 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
     ///
     /// With a recording sink, each round opens a `chase`/`round` span
     /// (keyed by round number) under which it emits one `chase`/`trigger`
-    /// event per active rule (keyed by rule index), one `hom`/`scan`
-    /// event per scanned predicate (keyed by predicate id; tuple join
-    /// mode), one `join`/`build` + `join`/`probe` event per joined
-    /// predicate (keyed by predicate id; batch join mode) and the round
-    /// summary event.
+    /// event per active rule (keyed by rule index), one `join`/`build` +
+    /// `join`/`probe` event per joined predicate (keyed by predicate id)
+    /// and the round summary event.
     pub fn step(&mut self, voc: &mut Vocabulary) -> Vec<Fact> {
         let start = self.step_indexed(voc);
         self.instance.facts()[start..].to_vec()
@@ -1435,28 +1097,18 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             0
         };
         let mut work = RoundWork::default();
-        let repairs = match self.strategy {
-            ChaseStrategy::Naive => collect_repairs_naive::<S>(
-                &self.instance,
-                self.theory,
-                &self.templates,
-                self.variant,
-                &mut self.fired,
-                self.priors.as_ref(),
-                &mut work,
-            ),
-            ChaseStrategy::SemiNaive => collect_repairs_seminaive::<S>(
-                &self.instance,
-                self.theory,
-                &self.templates,
-                self.variant,
-                &mut self.fired,
-                &self.instance.facts()[self.delta.clone()],
-                self.first_round,
-                self.priors.as_ref(),
-                &mut work,
-            ),
-        };
+        let repairs = collect_repairs::<S>(
+            &self.instance,
+            self.theory,
+            &self.templates,
+            self.variant,
+            &mut self.fired,
+            self.strategy,
+            &self.instance.facts()[self.delta.clone()],
+            self.first_round,
+            self.priors.as_ref(),
+            &mut work,
+        );
         self.first_round = false;
         let triggers_fired = repairs.len() as u64;
         self.stats.body_matches_per_round.push(work.body_matches);
@@ -1535,16 +1187,6 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
                         ("triggers_fired", rw.triggers_fired),
                     ],
                     gauges: &[("wall_ns", rw.enum_ns)],
-                });
-            }
-            for (pred, scans, candidates) in work.scans.sorted() {
-                self.sink.record(Event {
-                    engine: "hom",
-                    name: "scan",
-                    parent: round_span,
-                    key: Some(("pred", u64::from(pred.0))),
-                    fields: &[("scans", scans), ("candidates", candidates)],
-                    gauges: &[],
                 });
             }
             for (pred, c) in work.joins.sorted() {
@@ -1717,28 +1359,18 @@ pub fn chase_uninstrumented_baseline(
             break;
         }
         let mut work = RoundWork::default();
-        let repairs = match config.strategy {
-            ChaseStrategy::Naive => collect_repairs_naive::<Null>(
-                &inst,
-                theory,
-                &templates,
-                config.variant,
-                &mut fired,
-                None,
-                &mut work,
-            ),
-            ChaseStrategy::SemiNaive => collect_repairs_seminaive::<Null>(
-                &inst,
-                theory,
-                &templates,
-                config.variant,
-                &mut fired,
-                &inst.facts()[delta.clone()],
-                first_round,
-                None,
-                &mut work,
-            ),
-        };
+        let repairs = collect_repairs::<Null>(
+            &inst,
+            theory,
+            &templates,
+            config.variant,
+            &mut fired,
+            config.strategy,
+            &inst.facts()[delta.clone()],
+            first_round,
+            None,
+            &mut work,
+        );
         first_round = false;
         let (start, _nulls) = apply_repairs(&mut inst, &templates, voc, repairs, None);
         delta = start..inst.len();
@@ -1938,43 +1570,6 @@ mod tests {
         }
     }
 
-    /// The batch kernel is a drop-in for the tuple engine: same instance,
-    /// same null names, same depths, same ChaseStats — under every
-    /// strategy × variant combination.
-    #[test]
-    fn batch_and_tuple_engines_agree_exactly() {
-        let src = "E(X,Y) -> exists Z . E(Y,Z).
-                   E(X,Y), E(Y,Z) -> R(X,Z).
-                   E(X,Y), E(Y,Z), E(Z,X) -> exists T . U(X,T).
-                   U(X,T), E(X,Y) -> U(Y,T).
-                   E(a,b). E(b,c). E(c,a). E(c,c).";
-        let prog = parse_program(src).unwrap();
-        for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-            for strategy in [ChaseStrategy::SemiNaive, ChaseStrategy::Naive] {
-                let config =
-                    ChaseConfig::rounds(5).with_variant(variant).with_strategy(strategy);
-                let run = |mode| {
-                    join::with_join_mode(mode, || {
-                        let mut voc = prog.voc.clone();
-                        chase(&prog.instance, &prog.theory, &mut voc, config)
-                    })
-                };
-                let tuple = run(JoinMode::Tuple);
-                let batch = run(JoinMode::Batch);
-                assert_eq!(tuple.instance, batch.instance, "{variant:?} {strategy:?}");
-                assert_eq!(tuple.depth_map(), batch.depth_map(), "{variant:?} {strategy:?}");
-                assert_eq!(tuple.status, batch.status, "{variant:?} {strategy:?}");
-                // Row-combos and homomorphisms are 1:1, so even the
-                // work counters agree exactly (wall times excluded).
-                assert_eq!(
-                    tuple.stats.body_matches_per_round,
-                    batch.stats.body_matches_per_round,
-                    "{variant:?} {strategy:?}"
-                );
-            }
-        }
-    }
-
     /// The point of semi-naive evaluation: on transitive closure of the
     /// Example 1 chain, re-deriving every round from scratch does at least
     /// twice the body-match work.
@@ -2020,14 +1615,10 @@ mod tests {
     fn chase_with_memory_sink_counts_rounds_and_matches_null_run() {
         use bddfc_core::obs::Memory;
         let prog = parse_program("E(X,Y) -> exists Z . E(Y,Z). E(a,b).").unwrap();
-        // Pin the batch kernel so the expected event schema is stable
-        // whatever the ambient BDDFC_JOIN; the tuple engine's events are
-        // pinned separately below.
         let sink = Memory::new(64);
         let mut voc1 = prog.voc.clone();
-        let observed = join::with_join_mode(JoinMode::Batch, || {
-            chase_with(&prog.instance, &prog.theory, &mut voc1, ChaseConfig::rounds(4), &sink)
-        });
+        let observed =
+            chase_with(&prog.instance, &prog.theory, &mut voc1, ChaseConfig::rounds(4), &sink);
         let mut voc2 = prog.voc.clone();
         let plain = chase(&prog.instance, &prog.theory, &mut voc2, ChaseConfig::rounds(4));
         // Attaching a sink never changes the output.
@@ -2045,25 +1636,6 @@ mod tests {
             ]
         );
         assert_eq!(sink.counter("join", "probe", "matches"), 4);
-        // The tuple oracle emits hom-engine telemetry instead (the
-        // single-atom body joins against an empty residual, so no
-        // hom/scan events here).
-        let tuple_sink = Memory::new(64);
-        let mut voc3 = prog.voc.clone();
-        let tuple_run = join::with_join_mode(JoinMode::Tuple, || {
-            chase_with(
-                &prog.instance,
-                &prog.theory,
-                &mut voc3,
-                ChaseConfig::rounds(4),
-                &tuple_sink,
-            )
-        });
-        assert_eq!(tuple_run.instance, plain.instance);
-        assert_eq!(
-            tuple_sink.event_counts(),
-            vec![(("chase", "round"), 4), (("chase", "trigger"), 4)]
-        );
         assert_eq!(sink.counter("chase", "round", "new_facts"), 4);
         assert_eq!(sink.counter("chase", "round", "nulls_created"), 4);
         assert_eq!(

@@ -8,11 +8,11 @@
 //! fact must use at least one fact from the previous delta).
 
 use bddfc_core::fxhash::FxHashSet;
-use bddfc_core::join::{self, JoinMode};
+use bddfc_core::join;
 use bddfc_core::obs::{Event, EventSink, SpanTimer, NULL};
 use bddfc_core::par;
-use bddfc_core::{hom, Binding, ConstId, Fact, Instance, PredId, Rule, Term, Theory};
-use std::ops::{ControlFlow, Range};
+use bddfc_core::{ConstId, Fact, Instance, PredId, Rule, Term, Theory};
+use std::ops::Range;
 
 /// The result of a datalog saturation.
 #[derive(Clone, Debug)]
@@ -35,104 +35,12 @@ impl SaturationResult {
     }
 }
 
-/// Grounds the head atoms of a datalog rule under a total body binding.
-fn ground_head<'a>(rule: &'a Rule, binding: &Binding) -> impl Iterator<Item = Fact> + 'a {
-    let binding = binding.clone();
-    rule.head.iter().map(move |atom| {
-        atom.apply(&|v| binding.get(&v).map(|&c| Term::Const(c)))
-            .to_fact()
-            .expect("datalog head grounded by body binding")
-    })
-}
-
-/// Evaluates one semi-naive work item — rule body atom `pin` bound to the
-/// delta fact `dfact`, the join completed against the full instance. Pure
-/// over `inst`, so items shard freely across threads; `seen` is only a
-/// local dedup (the round merge re-dedups globally).
-fn rule_item(
-    inst: &Instance,
-    rule: &Rule,
-    pin: usize,
-    dfact: &Fact,
-    out: &mut Vec<Fact>,
-    seen: &mut FxHashSet<Fact>,
-    matches: &mut u64,
-    scans: Option<&mut hom::ScanStats>,
-) {
-    let pinned = &rule.body[pin];
-    // Bind the pinned atom against the delta fact.
-    let mut binding = Binding::default();
-    for (term, &c) in pinned.args.iter().zip(dfact.args.iter()) {
-        match term {
-            Term::Const(k) => {
-                if *k != c {
-                    return;
-                }
-            }
-            Term::Var(v) => match binding.get(v) {
-                Some(&b) if b != c => return,
-                _ => {
-                    binding.insert(*v, c);
-                }
-            },
-        }
-    }
-    // Match the remaining atoms in the full instance.
-    let rest: Vec<_> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != pin)
-        .map(|(_, a)| a.clone())
-        .collect();
-    let mut visit = |b: &Binding| {
-        *matches += 1;
-        for fact in ground_head(rule, b) {
-            if !inst.contains(&fact) && seen.insert(fact.clone()) {
-                out.push(fact);
-            }
-        }
-        ControlFlow::Continue(())
-    };
-    let _ = match scans {
-        Some(s) => hom::for_each_hom_scanned(inst, &rest, &binding, s, &mut visit),
-        None => hom::for_each_hom(inst, &rest, &binding, &mut visit),
-    };
-}
-
-/// Evaluates one rule naively: enumerates *all* body homomorphisms over
-/// the full instance, ignoring the delta. Differential-testing oracle for
-/// [`rule_item`].
-fn rule_round_naive(
-    inst: &Instance,
-    rule: &Rule,
-    out: &mut Vec<Fact>,
-    seen: &mut FxHashSet<Fact>,
-    matches: &mut u64,
-    scans: Option<&mut hom::ScanStats>,
-) {
-    let mut visit = |b: &Binding| {
-        *matches += 1;
-        for fact in ground_head(rule, b) {
-            if !inst.contains(&fact) && seen.insert(fact.clone()) {
-                out.push(fact);
-            }
-        }
-        ControlFlow::Continue(())
-    };
-    let _ = match scans {
-        Some(s) => {
-            hom::for_each_hom_scanned(inst, &rule.body, &Binding::default(), s, &mut visit)
-        }
-        None => hom::for_each_hom(inst, &rule.body, &Binding::default(), &mut visit),
-    };
-}
-
-/// Evaluates one rule with the batch join kernel — optionally pinned to a
-/// delta tail segment — and grounds its head once per output row, reading
-/// head arguments straight out of the batch's columns instead of
-/// materializing per-row bindings. The batch-engine counterpart of
-/// [`rule_item`] / [`rule_round_naive`].
+/// Evaluates one work item — a datalog rule with the batch join kernel,
+/// optionally pinned to a delta tail segment — and grounds its head once
+/// per output row, reading head arguments straight out of the batch's
+/// columns instead of materializing per-row bindings. Pure over `inst`,
+/// so items shard freely across threads; `seen` is only a local dedup
+/// (the round merge re-dedups globally).
 fn batch_rule(
     inst: &Instance,
     rule: &Rule,
@@ -192,9 +100,6 @@ fn saturate_impl<S: EventSink>(
     naive: bool,
     sink: &S,
 ) -> SaturationResult {
-    // Resolved once, on the calling thread, before any parallel region —
-    // thread-local join-mode overrides do not cross into `par` workers.
-    let mode = join::join_mode();
     // Keep each datalog rule's index in the *theory* — the attribution
     // key shared with the chase's `chase`/`trigger` events.
     let datalog: Vec<(usize, &Rule)> =
@@ -204,7 +109,6 @@ fn saturate_impl<S: EventSink>(
     struct ShardAttr {
         rule_matches: Vec<u64>,
         rule_ns: Vec<u64>,
-        scans: hom::ScanStats,
         joins: join::JoinStats,
     }
     let new_attr = || {
@@ -212,7 +116,6 @@ fn saturate_impl<S: EventSink>(
             Some(ShardAttr {
                 rule_matches: vec![0; datalog.len()],
                 rule_ns: vec![0; datalog.len()],
-                scans: hom::ScanStats::default(),
                 joins: join::JoinStats::default(),
             })
         } else {
@@ -237,159 +140,54 @@ fn saturate_impl<S: EventSink>(
         } else {
             0
         };
+        // One work item per rule (naive) or per (rule, pinned atom)
+        // (semi-naive): the pin's delta facts are exactly the tail
+        // `delta_count` rows of its relation in `current` (append-only
+        // segments; nothing else is inserted between rounds).
+        let mut items = Vec::new();
+        for (di, (_, rule)) in datalog.iter().enumerate() {
+            if naive {
+                items.push((di, None));
+                continue;
+            }
+            for (pin, atom) in rule.body.iter().enumerate() {
+                let k = delta.facts_with_pred(atom.pred).len();
+                if k == 0 {
+                    continue;
+                }
+                let rows = current.columnar().rows(atom.pred);
+                debug_assert!(k <= rows, "delta larger than its relation");
+                items.push((di, Some((pin, rows - k..rows))));
+            }
+        }
         // Phase 1 (parallel): every shard derives candidate facts with a
-        // shard-local dedup against the frozen `current`. Work items keep
-        // the sequential (rule, pin, delta-fact) nesting order so the
-        // merged stream is the one the sequential loop would build.
-        let shard_out: Vec<(Vec<Fact>, u64, Option<ShardAttr>)> = match (naive, mode) {
-            (true, JoinMode::Batch) => par::par_chunks(datalog.len(), |range| {
+        // shard-local dedup against the frozen `current`, in work-list
+        // order, so the merged stream is the one a sequential loop builds.
+        let shard_out: Vec<(Vec<Fact>, u64, Option<ShardAttr>)> =
+            par::par_chunks(items.len(), |range| {
                 let mut out = Vec::new();
                 let mut seen = FxHashSet::default();
                 let mut matches = 0u64;
                 let mut attr = new_attr();
-                for di in range {
+                for (di, pinned) in &items[range] {
                     let t = attr.is_some().then(SpanTimer::start);
                     let before = matches;
                     batch_rule(
                         &current,
-                        datalog[di].1,
-                        None,
+                        datalog[*di].1,
+                        pinned.clone(),
                         &mut out,
                         &mut seen,
                         &mut matches,
                         attr.as_mut().map(|a| &mut a.joins),
                     );
                     if let Some(a) = attr.as_mut() {
-                        a.rule_ns[di] += t.expect("timer set with attr").elapsed_ns();
-                        a.rule_matches[di] += matches - before;
+                        a.rule_ns[*di] += t.expect("timer set with attr").elapsed_ns();
+                        a.rule_matches[*di] += matches - before;
                     }
                 }
                 (out, matches, attr)
-            }),
-            (true, JoinMode::Tuple) => par::par_chunks(datalog.len(), |range| {
-                let mut out = Vec::new();
-                let mut seen = FxHashSet::default();
-                let mut matches = 0u64;
-                let mut attr = new_attr();
-                for di in range {
-                    match attr.as_mut() {
-                        Some(a) => {
-                            let t = SpanTimer::start();
-                            let before = matches;
-                            rule_round_naive(
-                                &current,
-                                datalog[di].1,
-                                &mut out,
-                                &mut seen,
-                                &mut matches,
-                                Some(&mut a.scans),
-                            );
-                            a.rule_ns[di] += t.elapsed_ns();
-                            a.rule_matches[di] += matches - before;
-                        }
-                        None => rule_round_naive(
-                            &current,
-                            datalog[di].1,
-                            &mut out,
-                            &mut seen,
-                            &mut matches,
-                            None,
-                        ),
-                    }
-                }
-                (out, matches, attr)
-            }),
-            (false, JoinMode::Batch) => {
-                // One work item per (rule, pinned atom): the pin's delta
-                // facts are exactly the tail `delta_count` rows of its
-                // relation in `current` (append-only segments; nothing
-                // else is inserted between rounds).
-                let mut work: Vec<(usize, usize, Range<usize>)> = Vec::new();
-                for (di, (_, rule)) in datalog.iter().enumerate() {
-                    for pin in 0..rule.body.len() {
-                        let pred = rule.body[pin].pred;
-                        let k = delta.facts_with_pred(pred).len();
-                        if k == 0 {
-                            continue;
-                        }
-                        let rows = current.columnar().rows(pred);
-                        debug_assert!(k <= rows, "delta larger than its relation");
-                        work.push((di, pin, rows - k..rows));
-                    }
-                }
-                par::par_chunks(work.len(), |range| {
-                    let mut out = Vec::new();
-                    let mut seen = FxHashSet::default();
-                    let mut matches = 0u64;
-                    let mut attr = new_attr();
-                    for (di, pin, seg) in &work[range] {
-                        let t = attr.is_some().then(SpanTimer::start);
-                        let before = matches;
-                        batch_rule(
-                            &current,
-                            datalog[*di].1,
-                            Some((*pin, seg.clone())),
-                            &mut out,
-                            &mut seen,
-                            &mut matches,
-                            attr.as_mut().map(|a| &mut a.joins),
-                        );
-                        if let Some(a) = attr.as_mut() {
-                            a.rule_ns[*di] += t.expect("timer set with attr").elapsed_ns();
-                            a.rule_matches[*di] += matches - before;
-                        }
-                    }
-                    (out, matches, attr)
-                })
-            }
-            (false, JoinMode::Tuple) => {
-                let mut work: Vec<(usize, usize, &Fact)> = Vec::new();
-                for (di, (_, rule)) in datalog.iter().enumerate() {
-                    for pin in 0..rule.body.len() {
-                        for &didx in delta.facts_with_pred(rule.body[pin].pred) {
-                            work.push((di, pin, delta.fact(didx)));
-                        }
-                    }
-                }
-                par::par_chunks(work.len(), |range| {
-                    let mut out = Vec::new();
-                    let mut seen = FxHashSet::default();
-                    let mut matches = 0u64;
-                    let mut attr = new_attr();
-                    for &(di, pin, dfact) in &work[range] {
-                        match attr.as_mut() {
-                            Some(a) => {
-                                let t = SpanTimer::start();
-                                let before = matches;
-                                rule_item(
-                                    &current,
-                                    datalog[di].1,
-                                    pin,
-                                    dfact,
-                                    &mut out,
-                                    &mut seen,
-                                    &mut matches,
-                                    Some(&mut a.scans),
-                                );
-                                a.rule_ns[di] += t.elapsed_ns();
-                                a.rule_matches[di] += matches - before;
-                            }
-                            None => rule_item(
-                                &current,
-                                datalog[di].1,
-                                pin,
-                                dfact,
-                                &mut out,
-                                &mut seen,
-                                &mut matches,
-                                None,
-                            ),
-                        }
-                    }
-                    (out, matches, attr)
-                })
-            }
-        };
+            });
         // Phase 2 (sequential): merge shards in input order with a global
         // first-occurrence dedup.
         let mut new_facts = Vec::new();
@@ -403,7 +201,6 @@ fn saturate_impl<S: EventSink>(
                     total.rule_matches[di] += rm;
                     total.rule_ns[di] += ns;
                 }
-                total.scans.merge(&a.scans);
                 total.joins.merge(&a.joins);
             }
             for fact in shard {
@@ -442,16 +239,6 @@ fn saturate_impl<S: EventSink>(
                         key: Some(("rule", theory_idx as u64)),
                         fields: &[("body_matches", a.rule_matches[di])],
                         gauges: &[("wall_ns", a.rule_ns[di])],
-                    });
-                }
-                for (pred, scans, candidates) in a.scans.sorted() {
-                    sink.record(Event {
-                        engine: "hom",
-                        name: "scan",
-                        parent: round_span,
-                        key: Some(("pred", u64::from(pred.0))),
-                        fields: &[("scans", scans), ("candidates", candidates)],
-                        gauges: &[],
                     });
                 }
                 for (pred, c) in a.joins.sorted() {
@@ -653,67 +440,19 @@ mod tests {
             .map(|(_, c)| c);
         assert_eq!(round_events, Some(res.body_matches_per_round.len() as u64));
         // Per-rule attribution (keyed by theory rule index) reconciles
-        // with the round totals, and candidate scans are charged to E.
+        // with the round totals, and join probes are charged.
         assert_eq!(
             sink.counter("saturate", "rule", "body_matches"),
             res.total_body_matches()
         );
-        // Enumeration telemetry depends on the join engine: the batch
-        // kernel charges join probes, the tuple oracle hom scans.
-        match join::join_mode() {
-            JoinMode::Batch => assert!(sink.counter("join", "probe", "probes") > 0),
-            JoinMode::Tuple => assert!(sink.counter("hom", "scan", "scans") > 0),
-        }
+        assert!(sink.counter("join", "probe", "probes") > 0);
+        assert!(sink.counter("join", "probe", "matches") >= res.total_body_matches());
         // One run span + one span per round, all closed.
         let spans = sink.spans();
         assert_eq!(spans.len(), 1 + res.body_matches_per_round.len());
         assert_eq!((spans[0].engine, spans[0].name), ("saturate", "run"));
         assert!(spans.iter().all(|s| s.is_closed()));
         assert!(spans[1..].iter().all(|s| s.parent == spans[0].id));
-        // And explicitly under each pinned mode.
-        let batch_sink = Memory::new(64);
-        join::with_join_mode(JoinMode::Batch, || {
-            saturate_datalog_with(&prog.instance, &prog.theory, &batch_sink)
-        });
-        assert!(batch_sink.counter("join", "probe", "matches") >= res.total_body_matches());
-        let tuple_sink = Memory::new(64);
-        join::with_join_mode(JoinMode::Tuple, || {
-            saturate_datalog_with(&prog.instance, &prog.theory, &tuple_sink)
-        });
-        assert!(tuple_sink.counter("hom", "scan", "scans") > 0);
-    }
-
-    /// The batch kernel and the tuple oracle derive the same closure with
-    /// the same per-round work counts, under both evaluation modes.
-    #[test]
-    fn batch_and_tuple_saturation_agree() {
-        let prog = parse_program(
-            "E(X,Y), E(Y,Z) -> E(X,Z).
-             E(X,Y), E(X2,Y) -> R(X,X2).
-             R(X,X) -> Loop(X).
-             E(a,b). E(b,c). E(c,a). E(d,c).",
-        )
-        .unwrap();
-        for naive in [false, true] {
-            let run = |mode| {
-                join::with_join_mode(mode, || {
-                    if naive {
-                        saturate_datalog_naive(&prog.instance, &prog.theory)
-                    } else {
-                        saturate_datalog(&prog.instance, &prog.theory)
-                    }
-                })
-            };
-            let tuple = run(JoinMode::Tuple);
-            let batch = run(JoinMode::Batch);
-            assert_eq!(tuple.instance, batch.instance, "naive={naive}");
-            assert_eq!(tuple.derived, batch.derived, "naive={naive}");
-            assert_eq!(tuple.rounds, batch.rounds, "naive={naive}");
-            assert_eq!(
-                tuple.body_matches_per_round, batch.body_matches_per_round,
-                "naive={naive}"
-            );
-        }
     }
 
     #[test]

@@ -16,56 +16,12 @@ use crate::columnar::Relation;
 use crate::fxhash::FxHashMap;
 use crate::instance::Instance;
 use crate::query::{ConjunctiveQuery, Ucq};
-use crate::symbols::{ConstId, PredId, VarId};
+use crate::symbols::{ConstId, VarId};
 use crate::term::{Atom, Term};
 use std::ops::ControlFlow;
 
 /// A partial assignment of variables to domain elements.
 pub type Binding = FxHashMap<VarId, ConstId>;
-
-/// Per-predicate candidate-scan statistics, collected by
-/// [`for_each_hom_scanned`] for telemetry attribution: every time the
-/// search commits to an atom and walks its candidate posting list, the
-/// atom's predicate is charged one *scan* and `len(candidates)`
-/// *candidates*. Both counts are deterministic (the search order does
-/// not depend on thread count), so they obey the fields side of the
-/// `bddfc_core::obs` determinism contract.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// `pred -> (scans, candidate facts examined)`.
-    per_pred: FxHashMap<PredId, (u64, u64)>,
-}
-
-impl ScanStats {
-    /// Charges one scan over `candidates` facts to `pred`.
-    pub fn note(&mut self, pred: PredId, candidates: u64) {
-        let e = self.per_pred.entry(pred).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += candidates;
-    }
-
-    /// Folds another stats block into this one (for shard merging).
-    pub fn merge(&mut self, other: &ScanStats) {
-        for (&pred, &(scans, cands)) in &other.per_pred {
-            let e = self.per_pred.entry(pred).or_insert((0, 0));
-            e.0 += scans;
-            e.1 += cands;
-        }
-    }
-
-    /// `(pred, scans, candidates)` rows sorted by predicate id.
-    pub fn sorted(&self) -> Vec<(PredId, u64, u64)> {
-        let mut rows: Vec<(PredId, u64, u64)> =
-            self.per_pred.iter().map(|(&p, &(s, c))| (p, s, c)).collect();
-        rows.sort_unstable_by_key(|&(p, _, _)| p);
-        rows
-    }
-
-    /// Whether no scan was ever charged.
-    pub fn is_empty(&self) -> bool {
-        self.per_pred.is_empty()
-    }
-}
 
 /// The candidate rows of an atom's relation under a partial binding:
 /// either a posting list of row numbers, or the full row range.
@@ -174,7 +130,6 @@ fn search<F>(
     atoms: &[Atom],
     remaining: &mut Vec<usize>,
     binding: &mut Binding,
-    stats: &mut Option<&mut ScanStats>,
     visit: &mut F,
 ) -> ControlFlow<()>
 where
@@ -193,13 +148,10 @@ where
     let ai = remaining.swap_remove(slot);
     let atom = &atoms[ai];
     let cand = candidates(inst, atom, binding);
-    if let Some(s) = stats {
-        s.note(atom.pred, cand.len() as u64);
-    }
     let flow = match inst.columnar().relation(atom.pred) {
         Some(rel) => cand.for_each(|row| {
             if let Some(newly) = try_match(rel, atom, row, binding) {
-                let flow = search(inst, atoms, remaining, binding, stats, visit);
+                let flow = search(inst, atoms, remaining, binding, visit);
                 undo(binding, &newly);
                 flow
             } else {
@@ -227,26 +179,7 @@ where
 {
     let mut binding = init.clone();
     let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-    search(inst, atoms, &mut remaining, &mut binding, &mut None, &mut visit)
-}
-
-/// [`for_each_hom`] that additionally charges every candidate-list walk
-/// to its predicate in `stats` — the attribution hook behind the
-/// `hom/scan` telemetry events. Collection cost is only paid when a
-/// recording sink is installed; the plain entry points pass no stats.
-pub fn for_each_hom_scanned<F>(
-    inst: &Instance,
-    atoms: &[Atom],
-    init: &Binding,
-    stats: &mut ScanStats,
-    mut visit: F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&Binding) -> ControlFlow<()>,
-{
-    let mut binding = init.clone();
-    let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-    search(inst, atoms, &mut remaining, &mut binding, &mut Some(stats), &mut visit)
+    search(inst, atoms, &mut remaining, &mut binding, &mut visit)
 }
 
 /// Finds one homomorphism of `atoms` into `inst` extending `init`.
@@ -522,41 +455,6 @@ mod tests {
                 assert_eq!(accepted, by_scan, "atom {atom:?}, bound_x {bound_x:?}");
             }
         }
-    }
-
-    #[test]
-    fn scanned_hom_matches_plain_and_charges_predicates() {
-        let mut voc = Vocabulary::new();
-        let inst = cycle(&mut voc, 5);
-        let e = voc.find_pred("E").unwrap();
-        let (x, y, z) = (voc.var("X"), voc.var("Y"), voc.var("Z"));
-        let path = vec![
-            Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
-            Atom::new(e, vec![Term::Var(y), Term::Var(z)]),
-        ];
-        let mut plain = 0usize;
-        let _ = for_each_hom(&inst, &path, &Binding::default(), |_| {
-            plain += 1;
-            ControlFlow::Continue(())
-        });
-        let mut stats = ScanStats::default();
-        let mut scanned = 0usize;
-        let _ = for_each_hom_scanned(&inst, &path, &Binding::default(), &mut stats, |_| {
-            scanned += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(plain, scanned);
-        let rows = stats.sorted();
-        assert_eq!(rows.len(), 1, "only E is ever scanned");
-        let (pred, scans, cands) = rows[0];
-        assert_eq!(pred, e);
-        // One root scan over all 5 edges plus one indexed scan per match.
-        assert!(scans >= 2 && cands >= 5, "scans={scans} cands={cands}");
-
-        let mut merged = ScanStats::default();
-        merged.merge(&stats);
-        merged.merge(&stats);
-        assert_eq!(merged.sorted(), vec![(e, scans * 2, cands * 2)]);
     }
 
     #[test]

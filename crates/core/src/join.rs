@@ -25,86 +25,14 @@
 //! before cross products, ties broken by atom index), and [`eval_body`]
 //! folds [`join_atom`] over that order.
 //!
-//! The engine switch lives here too: [`join_mode`] reads `BDDFC_JOIN`
-//! (`tuple` or `batch`, default batch) with a [`with_join_mode`]
-//! thread-local override mirroring [`crate::par::with_thread_count`] —
-//! the tuple engine is retained as the differential oracle.
+//! The chase and datalog saturation always enumerate rule bodies through
+//! this kernel; [`crate::hom`] is its differential oracle at this seam.
 
 use crate::columnar::{ColumnarStore, Relation};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::symbols::{ConstId, PredId, VarId};
 use crate::term::{Atom, Term};
-use std::cell::Cell;
 use std::ops::Range;
-
-/// Which join engine the chase and saturation enumerators use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum JoinMode {
-    /// The backtracking tuple-at-a-time engine ([`crate::hom`]); the
-    /// differential oracle.
-    Tuple,
-    /// The batched columnar hash-join kernel (this module).
-    #[default]
-    Batch,
-}
-
-thread_local! {
-    /// Per-thread override installed by [`with_join_mode`].
-    static JOIN_OVERRIDE: Cell<Option<JoinMode>> = const { Cell::new(None) };
-}
-
-impl JoinMode {
-    /// Parses a `BDDFC_JOIN` value: `tuple` or `batch`, case-insensitive,
-    /// surrounding whitespace ignored. Anything else is an error carrying
-    /// the offending value — misconfiguration must not silently select an
-    /// engine (a differential run believing it crossed tuple-vs-batch
-    /// would otherwise test batch-vs-batch).
-    pub fn parse(raw: &str) -> Result<JoinMode, String> {
-        let s = raw.trim();
-        if s.eq_ignore_ascii_case("tuple") {
-            Ok(JoinMode::Tuple)
-        } else if s.eq_ignore_ascii_case("batch") {
-            Ok(JoinMode::Batch)
-        } else {
-            Err(format!("BDDFC_JOIN must be `tuple` or `batch` (case-insensitive), got `{raw}`"))
-        }
-    }
-}
-
-/// The join engine calls on this thread will use: the innermost
-/// [`with_join_mode`] override if one is active, else `BDDFC_JOIN`
-/// (`tuple` selects the oracle, `batch` the kernel, case-insensitive;
-/// unset or empty means batch). Resolve this *before* entering a
-/// `par_*` region: worker threads do not inherit the caller's override.
-///
-/// # Panics
-///
-/// Panics on any other `BDDFC_JOIN` value, naming it — a typo like
-/// `tupel` must fail loudly rather than silently select the default.
-pub fn join_mode() -> JoinMode {
-    if let Some(m) = JOIN_OVERRIDE.with(Cell::get) {
-        return m;
-    }
-    match std::env::var("BDDFC_JOIN") {
-        Ok(s) if s.trim().is_empty() => JoinMode::Batch,
-        Ok(s) => JoinMode::parse(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => JoinMode::Batch,
-    }
-}
-
-/// Runs `f` with the join mode pinned to `mode` on the current thread
-/// (restored afterwards, even on panic). The differential suites use it
-/// to cross-check both engines in-process.
-pub fn with_join_mode<R>(mode: JoinMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<JoinMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            JOIN_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(JOIN_OVERRIDE.with(|c| c.replace(Some(mode))));
-    f()
-}
 
 /// A columnar frontier of variable bindings: one column per schema
 /// variable, all of length [`BindingBatch::rows`].
@@ -177,8 +105,7 @@ pub struct PredJoinCounters {
     pub probe_ns: u64,
 }
 
-/// Per-predicate join attribution, the `join`-engine analogue of
-/// [`crate::hom::ScanStats`]: accumulated shard-locally, merged
+/// Per-predicate join attribution: accumulated shard-locally, merged
 /// sequentially, emitted sorted by predicate id.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JoinStats {
@@ -654,43 +581,6 @@ mod tests {
             inst.insert(Fact::new(e, vec![ca, cb]));
         }
         inst
-    }
-
-    #[test]
-    fn join_mode_parse_accepts_both_engines_case_insensitively() {
-        for raw in ["tuple", "TUPLE", "Tuple", " tuple ", "\ttUpLe"] {
-            assert_eq!(JoinMode::parse(raw), Ok(JoinMode::Tuple), "raw = {raw:?}");
-        }
-        for raw in ["batch", "BATCH", "Batch", " batch "] {
-            assert_eq!(JoinMode::parse(raw), Ok(JoinMode::Batch), "raw = {raw:?}");
-        }
-    }
-
-    #[test]
-    fn join_mode_parse_rejects_garbage_naming_the_value() {
-        // The motivating typo: `tupel` must not silently mean batch.
-        let err = JoinMode::parse("tupel").unwrap_err();
-        assert_eq!(err, "BDDFC_JOIN must be `tuple` or `batch` (case-insensitive), got `tupel`");
-        for raw in ["bogus", "tuple,batch", "1", "tuples"] {
-            let err = JoinMode::parse(raw).unwrap_err();
-            assert!(err.contains(raw), "error {err:?} must name the value {raw:?}");
-        }
-    }
-
-    #[test]
-    fn join_mode_default_and_override() {
-        // Whatever the ambient environment says, the override wins and is
-        // restored afterwards (even across panics).
-        with_join_mode(JoinMode::Tuple, || {
-            assert_eq!(join_mode(), JoinMode::Tuple);
-            with_join_mode(JoinMode::Batch, || assert_eq!(join_mode(), JoinMode::Batch));
-            assert_eq!(join_mode(), JoinMode::Tuple);
-        });
-        let ambient = join_mode();
-        let _ = std::panic::catch_unwind(|| {
-            with_join_mode(JoinMode::Tuple, || panic!("unwind through the guard"))
-        });
-        assert_eq!(join_mode(), ambient);
     }
 
     #[test]

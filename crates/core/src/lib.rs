@@ -63,7 +63,7 @@ pub use diag::{Diagnostic, LintReport, Severity};
 pub use hom::Binding;
 pub use index::{FactIdx, FactIndex};
 pub use instance::Instance;
-pub use join::{join_mode, with_join_mode, JoinMode, Priors};
+pub use join::Priors;
 pub use parser::{parse_into, parse_program, parse_query, parse_rule, ParseError, Program};
 pub use query::{ConjunctiveQuery, Ucq};
 pub use rule::{Rule, RuleKind, Theory};

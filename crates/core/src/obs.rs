@@ -40,7 +40,7 @@
 //!
 //! Hot-path events additionally carry an **attribution key** — e.g.
 //! `("rule", 3)` on a `chase/trigger` event or `("pred", p)` on a
-//! `hom/scan` event — plus a `parent` span id, so a profiler can roll
+//! `join/probe` event — plus a `parent` span id, so a profiler can roll
 //! costs up per rule / per predicate / per round. Keys are part of the
 //! deterministic payload (like fields); `parent == 0` means "no
 //! enclosing span".

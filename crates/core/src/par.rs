@@ -72,8 +72,8 @@ pub fn parse_threads(raw: &str) -> Result<usize, String> {
 ///
 /// # Panics
 ///
-/// Panics on a non-numeric or zero `BDDFC_THREADS` value, naming it —
-/// mirroring the strict `BDDFC_JOIN` parse in [`crate::join::join_mode`].
+/// Panics on a non-numeric or zero `BDDFC_THREADS` value, naming it, so
+/// a typo fails loudly rather than silently selecting the default.
 pub fn num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n.max(1);

@@ -13,7 +13,7 @@
 //! | `chase_restricted_embeds` | restricted chase embeds homomorphically into oblivious |
 //! | `chase_certainty_strategy_blind` | `certain_ucq` verdicts + depth `k` across strategies |
 //! | `chase_thread_invariance` | chase outputs + obs counters at `BDDFC_THREADS` ∈ {1,2,7} |
-//! | `join_kernel_vs_tuple_oracle` | batched hash-join chase vs tuple-at-a-time engine, all variants × strategies |
+//! | `join_kernel_vs_tuple_oracle` | join-kernel rows vs `hom` bindings per rule body (unpinned + pinned tails), plus `hom` model check of the chase fixpoint |
 //! | `classes_witness_oracle` | witness-producing recognizers vs legacy boolean oracles |
 //! | `rewrite_vs_chase` | UCQ-rewriting certain answers vs chase certain answers |
 //! | `lint_stability` | linting is deterministic and panic-free |
@@ -35,16 +35,18 @@ use bddfc_classes::{
     guard_violations, is_guarded, is_sticky, is_theorem3_fragment, is_weakly_acyclic,
     sticky_violations, theorem3_violations, weak_acyclicity_violation,
 };
-use bddfc_core::fxhash::FxHashMap;
-use bddfc_core::join::{with_join_mode, JoinMode};
+use bddfc_core::fxhash::{FxHashMap, FxHashSet};
 use bddfc_core::obs::Memory;
+use bddfc_core::prng::SplitMix64;
+use bddfc_core::satisfaction::satisfies_theory;
 use bddfc_core::{
-    hom, par, Atom, Binding, ConjunctiveQuery, Fact, Instance, PredId, Program, Term, Theory,
-    Ucq, Vocabulary,
+    hom, join, par, Atom, Binding, ConjunctiveQuery, ConstId, Fact, Instance, PredId, Program,
+    Term, Theory, Ucq, VarId, Vocabulary,
 };
 use bddfc_lint::lint_source;
 use bddfc_rewrite::{certainly_entailed_rewriting, RewriteConfig};
 use bddfc_serve::{transcript as serve_transcript, ServeConfig, Server};
+use std::ops::{ControlFlow, Range};
 
 /// A deliberate, deterministic engine defect, injected on the
 /// *secondary* side of a differential pair (`bddfc-fuzz --mutate`).
@@ -162,7 +164,7 @@ pub static PROPS: &[Prop] = &[
     },
     Prop {
         name: "join_kernel_vs_tuple_oracle",
-        describe: "batched hash-join chase agrees with the tuple-at-a-time oracle engine",
+        describe: "join-kernel body rows equal hom bindings, unpinned and pinned to delta tails",
         check: join_kernel_vs_tuple_oracle,
     },
     Prop {
@@ -417,31 +419,91 @@ fn chase_thread_invariance(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> P
     Ok(())
 }
 
-/// `join_kernel_vs_tuple_oracle`: the batched hash-join kernel
-/// ([`JoinMode::Batch`]) produces exactly the chase the tuple-at-a-time
-/// engine produces — same instance, depth map, round count, status and
-/// per-round body-match counts — over every variant × strategy. The
-/// mutation runs on the batch side.
-fn join_kernel_vs_tuple_oracle(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
+/// `join_kernel_vs_tuple_oracle`: the batch join kernel agrees with the
+/// backtracking `hom` search at the kernel seam. The case is chased once;
+/// on the chased instance, for every rule body, the sorted multiset of
+/// [`join::eval_body`] rows (projected to the body variables) must equal
+/// [`hom::for_each_hom`]'s bindings — unpinned, and with each body atom
+/// pinned to a seeded tail segment of its relation (the `hom` side keeps
+/// the bindings whose grounded pinned atom lies in that segment). When
+/// the chase reached a fixpoint, the result must also satisfy the theory
+/// by `hom`-based model checking, which keeps an end-to-end check that
+/// does not go through the kernel. The mutation runs on the kernel side:
+/// both the chase and the kernel evaluations use the mutated theory.
+fn join_kernel_vs_tuple_oracle(case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
     let mutated = ctx.mutation.apply(&prog.theory);
-    for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-        for strategy in [ChaseStrategy::Naive, ChaseStrategy::SemiNaive] {
-            let cfg = chase_config(ctx, variant, strategy);
-            let tuple = with_join_mode(JoinMode::Tuple, || {
-                chase(&prog.instance, &prog.theory, &mut prog.voc.clone(), cfg)
-            });
-            let batch = with_join_mode(JoinMode::Batch, || {
-                chase(&prog.instance, &mutated, &mut prog.voc.clone(), cfg)
-            });
-            let what = format!("{variant:?}/{strategy:?} batch-vs-tuple");
-            ensure_same_instance(&tuple.instance, &batch.instance, &prog.voc, &what)?;
-            ensure_eq(tuple.depth_map(), batch.depth_map(), &format!("{what}: depth map"))?;
-            ensure_eq(tuple.rounds, batch.rounds, &format!("{what}: rounds"))?;
-            ensure_eq(tuple.status, batch.status, &format!("{what}: status"))?;
+    let cfg = chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive);
+    let res = chase(&prog.instance, &mutated, &mut prog.voc.clone(), cfg);
+    let inst = &res.instance;
+    if res.status == ChaseStatus::Fixpoint {
+        ensure(
+            satisfies_theory(inst, &prog.theory),
+            "chase fixpoint does not satisfy the theory (hom model check)",
+        )?;
+    }
+    let store = inst.columnar();
+    let mut rng = SplitMix64::new(case.seed);
+    for (i, rule) in prog.theory.rules.iter().enumerate() {
+        let mut vars: Vec<VarId> = rule.body_vars().into_iter().collect();
+        vars.sort_unstable();
+        let mut oracle: Vec<Vec<ConstId>> = Vec::new();
+        let _ = hom::for_each_hom(inst, &rule.body, &Binding::default(), |b| {
+            oracle.push(vars.iter().map(|v| b[v]).collect());
+            ControlFlow::Continue(())
+        });
+        oracle.sort_unstable();
+        // A rule the mutation dropped yields no kernel rows at all.
+        let kernel = |pinned: Option<(usize, Range<usize>)>| -> Vec<Vec<ConstId>> {
+            let Some(krule) = mutated.rules.get(i) else {
+                return Vec::new();
+            };
+            let batch = join::eval_body(store, &krule.body, pinned, None);
+            if batch.rows() == 0 {
+                return Vec::new();
+            }
+            let slots: Vec<usize> = vars
+                .iter()
+                .map(|&v| batch.col_of(v).expect("non-empty batch binds every body var"))
+                .collect();
+            let mut rows: Vec<Vec<ConstId>> = (0..batch.rows())
+                .map(|r| slots.iter().map(|&s| batch.get(r, s)).collect())
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        ensure_eq(
+            oracle.clone(),
+            kernel(None),
+            &format!("rule {i}: unpinned kernel rows vs hom"),
+        )?;
+        for (pin, atom) in rule.body.iter().enumerate() {
+            let facts = inst.facts_with_pred(atom.pred);
+            let start = rng.below(facts.len() + 1);
+            let tail: FxHashSet<&Fact> = facts[start..].iter().map(|&f| inst.fact(f)).collect();
+            let expect: Vec<Vec<ConstId>> = oracle
+                .iter()
+                .filter(|row| {
+                    let args = atom
+                        .args
+                        .iter()
+                        .map(|t| match t {
+                            Term::Const(c) => *c,
+                            Term::Var(v) => row[vars.binary_search(v).expect("body variable")],
+                        })
+                        .collect();
+                    tail.contains(&Fact::new(atom.pred, args))
+                })
+                .cloned()
+                .collect();
+            // The kernel pins its own atom at `pin` (a mutation may have
+            // moved it), restricted to the same-length tail.
+            let kpred = mutated.rules.get(i).map_or(atom.pred, |r| r.body[pin].pred);
+            let rows = store.rows(kpred);
+            let seg = rows - (facts.len() - start).min(rows)..rows;
             ensure_eq(
-                tuple.stats.body_matches_per_round.clone(),
-                batch.stats.body_matches_per_round.clone(),
-                &format!("{what}: per-round body matches"),
+                expect,
+                kernel(Some((pin, seg))),
+                &format!("rule {i}: kernel rows with atom {pin} pinned to rows {start}.. vs hom"),
             )?;
         }
     }

@@ -53,9 +53,8 @@ fn usage() -> ! {
 }
 
 fn main() -> ExitCode {
-    // Fail misconfigured env knobs loudly at startup, not mid-session on
-    // the first chase round.
-    let _ = bddfc_core::join_mode();
+    // Fail a misconfigured `BDDFC_THREADS` loudly at startup, not
+    // mid-session on the first chase round.
     let _ = bddfc_core::par::num_threads();
 
     let mut program_path: Option<String> = None;

@@ -7,8 +7,8 @@
 //!   1, 2 and 7 worker threads;
 //! * the golden transcript fixture under `tests/serve/` replays
 //!   in-process;
-//! * misconfigured `BDDFC_JOIN`/`BDDFC_THREADS` kill the binary at
-//!   startup with messages naming the offending value.
+//! * a misconfigured `BDDFC_THREADS` kills the binary at startup with a
+//!   message naming the offending value.
 
 use bddfc_core::obs::metrics::MetricsSnapshot;
 use bddfc_core::obs::Memory;
@@ -304,19 +304,6 @@ fn serve_with_env(envs: &[(&str, &str)]) -> Output {
     cmd.output().expect("cargo run bddfc-serve")
 }
 
-/// Satellite: a bogus `BDDFC_JOIN` kills the service at startup, naming
-/// the offending value — not silently falling back to a default engine.
-#[test]
-fn bogus_join_env_fails_loudly_at_startup() {
-    let out = serve_with_env(&[("BDDFC_JOIN", "bogus")]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("BDDFC_JOIN must be `tuple` or `batch` (case-insensitive), got `bogus`"),
-        "{stderr}"
-    );
-}
-
 /// Satellite: non-numeric and zero `BDDFC_THREADS` are rejected loudly
 /// instead of being treated as "no override".
 #[test]
@@ -330,12 +317,4 @@ fn bad_threads_env_fails_loudly_at_startup() {
             "BDDFC_THREADS={bad}: {stderr}"
         );
     }
-}
-
-/// Case-insensitive `BDDFC_JOIN` values are accepted (satellite 1's
-/// positive side), end to end through the binary.
-#[test]
-fn join_env_is_case_insensitive() {
-    let out = serve_with_env(&[("BDDFC_JOIN", "TuPlE")]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
