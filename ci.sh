@@ -125,6 +125,10 @@ echo "==> bddfc-fuzz serve_vs_scratch_chase (incremental serve vs from-scratch c
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop serve_vs_scratch_chase
 
+echo "==> bddfc-fuzz dred_seeded_vs_full (seeded DRed re-derivation vs a full round)"
+cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
+    --seed 1 --budget-ms 5000 --prop dred_seeded_vs_full
+
 echo "==> bddfc-fuzz static_bound_vs_observed_rounds (certificates vs the real chase)"
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop static_bound_vs_observed_rounds

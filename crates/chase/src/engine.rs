@@ -34,7 +34,7 @@ use bddfc_core::par;
 use bddfc_core::{
     hom, Binding, ConstId, Fact, Instance, PredId, Rule, Term, Theory, VarId, Vocabulary,
 };
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::time::Duration;
 
 /// Which chase variant to run.
@@ -654,8 +654,71 @@ fn sorted_frontier(rule: &Rule) -> Vec<VarId> {
 
 /// One trigger-collection work item: a rule body evaluated by the batch
 /// join kernel over the whole instance (`None`) or with one body atom
-/// pinned to a tail segment of its relation (`Some((pin, delta tail))`).
-type WorkItem = (usize, Option<(usize, Range<usize>)>);
+/// pinned to a tail segment of its relation (`Some((pin, delta tail))`),
+/// or by `hom`'s binding-seeded search under a partial frontier binding
+/// (see [`rederive_items`]).
+enum WorkItem {
+    Kernel(usize, Option<(usize, Range<usize>)>),
+    Seeded(usize, Binding),
+}
+
+/// The frontier key of a body homomorphism `b` (packed like
+/// [`key_of_row`], so both enumerators produce identical keys).
+fn key_of_binding(frontier: &[VarId], b: &Binding) -> Key {
+    let val = |v: &VarId| b[v];
+    match frontier {
+        [] => Key::Packed(0),
+        [a] => Key::Packed(u64::from(val(a).0)),
+        [a, c] => Key::Packed((u64::from(val(a).0) << 32) | u64::from(val(c).0)),
+        _ => Key::Wide(frontier.iter().map(val).collect()),
+    }
+}
+
+/// The re-derivation work items for `deleted`: for every fact and every
+/// head atom of a rule with a body that unifies with it, the body under
+/// the frontier values the unifier fixes (the whole body when it fixes
+/// none). Existential variables unify with anything, but consistently,
+/// as the head's witness homomorphism would map them.
+fn rederive_items(theory: &Theory, templates: &[RuleTemplate], deleted: &[Fact]) -> Vec<WorkItem> {
+    let mut seen: FxHashSet<(usize, Vec<Option<ConstId>>)> = FxHashSet::default();
+    let mut items = Vec::new();
+    let mut ex: Vec<Option<ConstId>> = Vec::new();
+    for (rule_idx, tmpl) in templates.iter().enumerate() {
+        if theory.rules[rule_idx].body.is_empty() {
+            continue;
+        }
+        for (pred, srcs) in &tmpl.head {
+            for d in deleted.iter().filter(|d| d.pred == *pred && d.args.len() == srcs.len()) {
+                let mut front = vec![None; tmpl.frontier.len()];
+                ex.clear();
+                ex.resize(tmpl.ex.len(), None);
+                let unifies = srcs.iter().zip(&d.args).all(|(src, &c)| {
+                    let slot = match *src {
+                        ArgSrc::Const(k) => return k == c,
+                        ArgSrc::Frontier(i) => &mut front[i],
+                        ArgSrc::Ex(j) => &mut ex[j],
+                    };
+                    *slot.get_or_insert(c) == c
+                });
+                if !unifies || !seen.insert((rule_idx, front.clone())) {
+                    continue;
+                }
+                let init: Binding = tmpl
+                    .frontier
+                    .iter()
+                    .zip(front)
+                    .filter_map(|(&v, c)| c.map(|c| (v, c)))
+                    .collect();
+                items.push(if init.is_empty() {
+                    WorkItem::Kernel(rule_idx, None)
+                } else {
+                    WorkItem::Seeded(rule_idx, init)
+                });
+            }
+        }
+    }
+    items
+}
 
 /// Collects this round's repairs against the *frozen* instance, per the
 /// simultaneous semantics of `Chase¹`. The two strategies differ only in
@@ -673,6 +736,10 @@ type WorkItem = (usize, Option<(usize, Range<usize>)>);
 ///   its single empty trigger is only ever new on the opening round
 ///   (`first_round`).
 ///
+/// `extra` items join either strategy's: incremental maintenance uses
+/// them to re-enumerate only the triggers a retraction can have left
+/// unwitnessed (see [`ChaseStepper::rederive`]).
+///
 /// Items are read-only and run in parallel, emitting `(rule, key)` pairs
 /// only (everything a trigger grounds is a pure function of the pair).
 /// Global first-occurrence dedup and admission then run sequentially on
@@ -689,6 +756,7 @@ fn collect_repairs<S: EventSink>(
     strategy: ChaseStrategy,
     delta: &[Fact],
     first_round: bool,
+    extra: Vec<WorkItem>,
     priors: Option<&join::Priors>,
     work: &mut RoundWork,
 ) -> Vec<Repair> {
@@ -697,7 +765,9 @@ fn collect_repairs<S: EventSink>(
     }
     let mut items: Vec<WorkItem> = Vec::new();
     match strategy {
-        ChaseStrategy::Naive => items.extend((0..theory.rules.len()).map(|r| (r, None))),
+        ChaseStrategy::Naive => {
+            items.extend((0..theory.rules.len()).map(|r| WorkItem::Kernel(r, None)))
+        }
         ChaseStrategy::SemiNaive => {
             let mut delta_count: FxHashMap<PredId, usize> = FxHashMap::default();
             for f in delta {
@@ -706,7 +776,7 @@ fn collect_repairs<S: EventSink>(
             for (rule_idx, rule) in theory.rules.iter().enumerate() {
                 if rule.body.is_empty() {
                     if first_round {
-                        items.push((rule_idx, None));
+                        items.push(WorkItem::Kernel(rule_idx, None));
                     }
                     continue;
                 }
@@ -714,11 +784,12 @@ fn collect_repairs<S: EventSink>(
                     let Some(&k) = delta_count.get(&atom.pred) else { continue };
                     let rows = inst.columnar().rows(atom.pred);
                     debug_assert!(k <= rows, "delta larger than its relation");
-                    items.push((rule_idx, Some((pin, rows - k..rows))));
+                    items.push(WorkItem::Kernel(rule_idx, Some((pin, rows - k..rows))));
                 }
             }
         }
     }
+    items.extend(extra);
     /// Per-shard attribution, merged sequentially; `None` when telemetry
     /// is disabled.
     struct ShardAttr {
@@ -726,7 +797,7 @@ fn collect_repairs<S: EventSink>(
         rule_ns: Vec<u64>,
         joins: join::JoinStats,
     }
-    // Phase 1 (parallel): one kernel evaluation per work item; shards
+    // Phase 1 (parallel): one evaluation per work item; shards
     // emit locally-new `(rule, key)` pairs in work-list order. Shard-local
     // dedup is sound because phase 2 dedups again globally: the first
     // occurrence in the merged stream survives either way.
@@ -744,36 +815,52 @@ fn collect_repairs<S: EventSink>(
             } else {
                 None
             };
-            for (rule_idx, pinned) in &items[range] {
-                let rule_idx = *rule_idx;
+            for item in &items[range] {
                 let timer = attr.is_some().then(SpanTimer::start);
-                let batch = join::eval_body_with_priors(
-                    inst.columnar(),
-                    &theory.rules[rule_idx].body,
-                    pinned.clone(),
-                    attr.as_mut().map(|a| &mut a.joins),
-                    priors,
-                );
-                matches += batch.rows() as u64;
-                if batch.rows() > 0 {
-                    // A non-empty batch binds every body variable, so every
-                    // frontier variable has a schema slot.
-                    let slots: Vec<usize> = templates[rule_idx]
-                        .frontier
-                        .iter()
-                        .map(|&v| batch.col_of(v).expect("frontier variable bound by body"))
-                        .collect();
-                    for row in 0..batch.rows() {
-                        let k = (rule_idx, key_of_row(&batch, &slots, row));
-                        if !local_seen.contains(&k) {
-                            local_seen.insert(k.clone());
-                            out.push(k);
-                        }
+                let mut emit = |k: (usize, Key)| {
+                    if !local_seen.contains(&k) {
+                        local_seen.insert(k.clone());
+                        out.push(k);
                     }
-                }
+                };
+                let (rule_idx, rows) = match item {
+                    WorkItem::Seeded(rule_idx, init) => {
+                        let frontier = &templates[*rule_idx].frontier;
+                        let mut rows = 0u64;
+                        let _ = hom::for_each_hom(inst, &theory.rules[*rule_idx].body, init, |b| {
+                            rows += 1;
+                            emit((*rule_idx, key_of_binding(frontier, b)));
+                            ControlFlow::Continue(())
+                        });
+                        (*rule_idx, rows)
+                    }
+                    WorkItem::Kernel(rule_idx, pinned) => {
+                        let batch = join::eval_body_with_priors(
+                            inst.columnar(),
+                            &theory.rules[*rule_idx].body,
+                            pinned.clone(),
+                            attr.as_mut().map(|a| &mut a.joins),
+                            priors,
+                        );
+                        if batch.rows() > 0 {
+                            // A non-empty batch binds every body variable, so
+                            // every frontier variable has a schema slot.
+                            let slots: Vec<usize> = templates[*rule_idx]
+                                .frontier
+                                .iter()
+                                .map(|&v| batch.col_of(v).expect("frontier variable bound by body"))
+                                .collect();
+                            for row in 0..batch.rows() {
+                                emit((*rule_idx, key_of_row(&batch, &slots, row)));
+                            }
+                        }
+                        (*rule_idx, batch.rows() as u64)
+                    }
+                };
+                matches += rows;
                 if let Some(a) = attr.as_mut() {
                     a.rule_ns[rule_idx] += timer.expect("timer set with attr").elapsed_ns();
-                    a.rule_matches[rule_idx] += batch.rows() as u64;
+                    a.rule_matches[rule_idx] += rows;
                 }
             }
             (out, matches, attr)
@@ -882,6 +969,7 @@ pub fn chase_round(
         ChaseStrategy::Naive,
         &[],
         false,
+        Vec::new(),
         None,
         &mut work,
     );
@@ -913,6 +1001,9 @@ pub struct ChaseStepper<'t, S: EventSink = Null> {
     /// (the chase is append-only, so a round's new facts are a suffix).
     delta: Range<usize>,
     first_round: bool,
+    /// Re-derivation work the next round enumerates besides the delta
+    /// (see [`ChaseStepper::rederive`]).
+    rederive: Vec<WorkItem>,
     rounds_done: u64,
     sink: &'t S,
     parent_span: u64,
@@ -954,6 +1045,7 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             fired: FxHashSet::default(),
             delta: 0..db.len(),
             first_round: true,
+            rederive: Vec::new(),
             rounds_done: 0,
             sink,
             parent_span: 0,
@@ -994,12 +1086,32 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             fired: FxHashSet::default(),
             delta,
             first_round: false,
+            rederive: Vec::new(),
             rounds_done: 0,
             sink,
             parent_span: 0,
             priors: None,
             stats: ChaseStats { threads_used: par::num_threads(), ..ChaseStats::default() },
         }
+    }
+
+    /// Makes the next round also enumerate every trigger that the
+    /// deletion of `deleted` from a resumed instance can have left
+    /// unwitnessed: for each deleted fact and each head atom of a rule
+    /// with a body that unifies with it, the rule's body matches agreeing
+    /// with the unifier's frontier values. A trigger of the restricted
+    /// chase that had a witness and lost it lost a witness fact, and that
+    /// fact is the image of a head atom under the trigger's frontier, so
+    /// these candidates cover every such trigger; admission drops the
+    /// ones still witnessed. Body-less rules are skipped, as on any
+    /// resumed round.
+    ///
+    /// This is DRed's re-derivation round: after a retraction, resuming
+    /// the survivors with their pending delta and this work admits
+    /// exactly the repairs a full round over the survivors would.
+    pub(crate) fn rederive(mut self, deleted: &[Fact]) -> Self {
+        self.rederive = rederive_items(self.theory, &self.templates, deleted);
+        self
     }
 
     /// Parents every span and event this stepper emits under `span`
@@ -1106,6 +1218,7 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             self.strategy,
             &self.instance.facts()[self.delta.clone()],
             self.first_round,
+            std::mem::take(&mut self.rederive),
             self.priors.as_ref(),
             &mut work,
         );
@@ -1368,6 +1481,7 @@ pub fn chase_uninstrumented_baseline(
             config.strategy,
             &inst.facts()[delta.clone()],
             first_round,
+            Vec::new(),
             None,
             &mut work,
         );

@@ -28,6 +28,39 @@
 //! ([`Derivation`], the same structure `trace::traced_chase` produces)
 //! per derived fact.
 //!
+//! A retraction costs its cone, not the instance, in two places:
+//!
+//! * **Over-deletion** walks a reverse premise→dependents index. It is
+//!   built from the recorded derivations on the first retraction (so a
+//!   load that never retracts never pays for it) and from then on kept
+//!   in step with them as derivations are recorded, replaced and
+//!   removed.
+//! * **Re-derivation** is one *seeded* round instead of a full one
+//!   (`ChaseStepper::rederive`). It enumerates the triggers whose head
+//!   unifies with a deleted fact, with the frontier bound to that fact's
+//!   values, plus the triggers of whatever delta an earlier budget-cut
+//!   mutation left pending. Then closure rounds continue as usual.
+//!
+//! *Why the seeded round equals a full one.* Before the retraction,
+//! every trigger inside the processed prefix of the instance had a
+//! witness: the restricted chase repaired it or found it satisfied, and
+//! the chase never deletes. So a survivor trigger that is unwitnessed
+//! now either joins a pending-delta fact, or lost a witness fact `d` to
+//! the deletion. Then `d` is the image of a head atom under a
+//! homomorphism extending the trigger's frontier, so the head atom
+//! unifies with `d` and the trigger is among the seeded candidates. The
+//! candidates are thus a superset of the repairs a full round over the
+//! survivors would admit, and admission drops the rest. Repairs are
+//! applied in the same canonical `(rule, frontier)` order, so the
+//! round yields the same facts, null names and derivations, and is
+//! counted as one round even when it admits nothing.
+//!
+//! The resident instance is held behind an `Arc`
+//! ([`IncrementalChase::shared_instance`]), so a service can publish it
+//! without a copy. A retraction builds a fresh survivor instance and
+//! copies nothing; an insertion copies the instance once if a published
+//! snapshot still shares it.
+//!
 //! The maintained invariant, restored after every mutation: **every
 //! resident fact is a base fact or carries a recorded derivation whose
 //! premises are themselves resident**. By induction every resident fact
@@ -49,6 +82,47 @@ use crate::trace::{Derivation, DerivationTree, TracedChase};
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
 use bddfc_core::obs::{EventSink, NULL};
 use bddfc_core::{Fact, Instance, Theory, Vocabulary};
+use std::sync::Arc;
+
+/// The reverse premise index: each premise to the derived facts whose
+/// recorded derivation uses it (once per derivation, however often the
+/// premise repeats in the body).
+type ReverseIndex = FxHashMap<Fact, Vec<Fact>>;
+
+/// The distinct premises of a derivation, in body order.
+fn distinct_premises(d: &Derivation) -> impl Iterator<Item = &Fact> {
+    d.premises.iter().enumerate().filter(|(i, p)| !d.premises[..*i].contains(p)).map(|(_, p)| p)
+}
+
+/// Adds `fact`'s derivation `d` to the reverse index.
+fn link(rev: &mut ReverseIndex, fact: &Fact, d: &Derivation) {
+    for p in distinct_premises(d) {
+        rev.entry(p.clone()).or_default().push(fact.clone());
+    }
+}
+
+/// Removes `fact`'s derivation `d` from the reverse index, except under
+/// `skip` (a premise whose whole entry the caller already took).
+fn unlink(rev: &mut ReverseIndex, fact: &Fact, d: &Derivation, skip: Option<&Fact>) {
+    for p in distinct_premises(d).filter(|p| Some(*p) != skip) {
+        let Some(deps) = rev.get_mut(p) else { continue };
+        if let Some(i) = deps.iter().position(|f| f == fact) {
+            deps.swap_remove(i);
+        }
+        if deps.is_empty() {
+            rev.remove(p);
+        }
+    }
+}
+
+/// The reverse index of `provenance`, built from scratch.
+fn reverse_index(provenance: &FxHashMap<Fact, Derivation>) -> ReverseIndex {
+    let mut rev = ReverseIndex::default();
+    for (f, d) in provenance {
+        link(&mut rev, f, d);
+    }
+    rev
+}
 
 /// Per-mutation resource limits for incremental maintenance — the
 /// analogue of [`crate::engine::ChaseConfig`] for a single
@@ -99,9 +173,17 @@ pub struct IncrementalChase {
     base: Vec<Fact>,
     base_set: FxHashSet<Fact>,
     /// The resident instance: base plus everything derived so far.
-    instance: Instance,
+    /// Shared with the epochs a service publishes; a mutation copies it
+    /// only while an epoch still holds it.
+    instance: Arc<Instance>,
+    /// Copy-on-write copies of `instance` made so far.
+    instance_copies: u64,
     /// One recorded derivation per derived resident fact.
     provenance: FxHashMap<Fact, Derivation>,
+    /// `provenance` reversed, kept in step with it from the first
+    /// retraction on (`None` before: a load that never retracts never
+    /// pays for it).
+    rev: Option<ReverseIndex>,
     /// Start of the unprocessed suffix of `instance.facts()` — equal to
     /// `instance.len()` exactly when the closure is complete.
     delta_start: usize,
@@ -123,8 +205,10 @@ impl IncrementalChase {
             theory: theory.clone(),
             base: Vec::new(),
             base_set: FxHashSet::default(),
-            instance: Instance::new(),
+            instance: Arc::new(Instance::new()),
+            instance_copies: 0,
             provenance: FxHashMap::default(),
+            rev: None,
             delta_start: 0,
             complete: true,
             exhausted: None,
@@ -147,6 +231,29 @@ impl IncrementalChase {
     /// The resident instance.
     pub fn instance(&self) -> &Instance {
         &self.instance
+    }
+
+    /// The resident instance as a shared handle, for publishing it
+    /// without a copy. While the handle lives, the next mutation that
+    /// changes the instance in place copies it first.
+    pub fn shared_instance(&self) -> Arc<Instance> {
+        Arc::clone(&self.instance)
+    }
+
+    /// Copy-on-write copies of the resident instance made so far: one
+    /// per mutation that had to change an instance still shared through
+    /// [`IncrementalChase::shared_instance`].
+    pub fn instance_copies(&self) -> u64 {
+        self.instance_copies
+    }
+
+    /// The resident instance for an in-place change, copied first if it
+    /// is shared.
+    fn instance_mut(&mut self) -> &mut Instance {
+        if Arc::get_mut(&mut self.instance).is_none() {
+            self.instance_copies += 1;
+        }
+        Arc::make_mut(&mut self.instance)
     }
 
     /// The theory the instance is maintained under.
@@ -211,9 +318,14 @@ impl IncrementalChase {
             if self.base_set.insert(f.clone()) {
                 self.base.push(f.clone());
             }
-            self.instance.insert(f.clone());
         }
-        let mut outcome = self.close(voc, config, sink);
+        if facts.iter().any(|f| !self.instance.contains(f)) {
+            let instance = self.instance_mut();
+            for f in facts {
+                instance.insert(f.clone());
+            }
+        }
+        let mut outcome = self.close(voc, config, sink, None);
         outcome.new_facts = self.instance.len() - before;
         outcome
     }
@@ -271,46 +383,44 @@ impl IncrementalChase {
         self.base.retain(|f| self.base_set.contains(f));
         let seed_count = deleted.len();
 
-        // Over-delete: reverse the stored premise edges once, then walk
-        // the dependency cone of the seeds. A dependent loses its stored
-        // derivation; if it is not base-supported it is deleted and
-        // cascades.
-        let mut rev: FxHashMap<Fact, Vec<Fact>> = FxHashMap::default();
-        for (f, d) in &self.provenance {
-            for p in &d.premises {
-                rev.entry(p.clone()).or_default().push(f.clone());
-            }
-        }
+        // Over-delete: walk the dependency cone of the seeds through the
+        // reverse index (built on the first retraction, maintained
+        // since). A dependent loses its stored derivation; if it is not
+        // base-supported it is deleted and cascades. A deleted fact
+        // supports nothing afterwards, so its index entry goes whole.
+        let rev = self.rev.get_or_insert_with(|| reverse_index(&self.provenance));
         while let Some(x) = work.pop() {
-            let Some(deps) = rev.get(&x) else { continue };
-            for dep in deps.clone() {
-                if self.provenance.remove(&dep).is_some() && !self.base_set.contains(&dep) {
-                    if deleted.insert(dep.clone()) {
-                        work.push(dep);
-                    }
+            let Some(deps) = rev.remove(&x) else { continue };
+            for dep in deps {
+                let Some(d) = self.provenance.remove(&dep) else { continue };
+                unlink(rev, &dep, &d, Some(&x));
+                if !self.base_set.contains(&dep) && deleted.insert(dep.clone()) {
+                    work.push(dep);
                 }
             }
         }
         let overdeleted = deleted.len() - seed_count;
 
         // Rebuild the survivor instance (the store is append-only, so
-        // deletion is reconstruction), preserving insertion order.
+        // deletion is reconstruction), preserving insertion order. The
+        // unprocessed suffix maps onto the survivors' suffix.
         let mut survivors = Instance::new();
-        for f in self.instance.facts() {
+        let mut delta_start = 0;
+        for (i, f) in self.instance.facts().iter().enumerate() {
             if !deleted.contains(f) {
+                delta_start += usize::from(i < self.delta_start);
                 survivors.insert(f.clone());
             }
         }
         let rederive_from = survivors.len();
-        self.instance = survivors;
+        self.instance = Arc::new(survivors);
+        self.delta_start = delta_start;
 
-        // Re-derive: every survivor is delta, so the first resumed round
-        // re-enumerates all triggers; restricted admission skips the
-        // still-witnessed ones and re-fires the ones whose witnesses
-        // were over-deleted. This also subsumes any delta left pending
-        // by an earlier exhausted mutation.
-        self.delta_start = 0;
-        let mut outcome = self.close(voc, config, sink);
+        // Re-derive: one seeded round enumerates the triggers whose head
+        // unifies with a deleted fact, plus the pending delta (see the
+        // module docs), then closure rounds continue as usual.
+        let deleted: Vec<Fact> = deleted.into_iter().collect();
+        let mut outcome = self.close(voc, config, sink, Some(&deleted));
         outcome.retracted = retracted;
         outcome.overdeleted = overdeleted;
         outcome.new_facts = self.instance.len() - rederive_from;
@@ -330,16 +440,21 @@ impl IncrementalChase {
     }
 
     /// Runs provenance-recording closure rounds over the pending delta
-    /// until fixpoint or budget.
+    /// until fixpoint or budget. After a retraction, `deleted` holds the
+    /// deleted facts: the first round is then the seeded re-derivation
+    /// round, run (and counted) even when it finds nothing, unless no
+    /// fact survived at all.
     fn close<S: EventSink>(
         &mut self,
         voc: &mut Vocabulary,
         config: MaintainConfig,
         sink: &S,
+        deleted: Option<&[Fact]>,
     ) -> MaintainOutcome {
         let mut rounds = 0u32;
         let mut derivs: Vec<(Fact, Derivation)> = Vec::new();
-        if self.delta_start == self.instance.len() {
+        let seeds = deleted.filter(|_| !self.instance.is_empty());
+        if seeds.is_none() && self.delta_start == self.instance.len() {
             // Nothing pending (e.g. every inserted fact was already
             // resident): the completeness state is unchanged.
             return MaintainOutcome {
@@ -352,7 +467,9 @@ impl IncrementalChase {
                 facts_total: self.instance.len(),
             };
         }
-        let instance = std::mem::replace(&mut self.instance, Instance::new());
+        self.instance_mut();
+        let instance = Arc::into_inner(std::mem::take(&mut self.instance))
+            .expect("instance_mut leaves the instance unshared");
         let delta = self.delta_start..instance.len();
         let mut stepper = ChaseStepper::resume(
             instance,
@@ -365,9 +482,12 @@ impl IncrementalChase {
         if let Some(p) = &self.priors {
             stepper = stepper.with_priors(p.clone());
         }
+        if let Some(d) = seeds {
+            stepper = stepper.rederive(d);
+        }
         let round_base = self.rounds_total;
         loop {
-            if stepper.pending_delta().is_empty() {
+            if (seeds.is_none() || rounds > 0) && stepper.pending_delta().is_empty() {
                 self.complete = true;
                 self.exhausted = None;
                 break;
@@ -393,16 +513,20 @@ impl IncrementalChase {
         }
         self.delta_start = if self.complete {
             stepper.instance.len()
+        } else if seeds.is_some() && rounds == 0 {
+            // A zero-round budget cut off the seeded round: everything is
+            // pending, so the next mutation re-enumerates every trigger.
+            0
         } else {
             stepper.pending_delta().start
         };
         self.rounds_total += u64::from(rounds);
-        self.instance = stepper.into_instance();
+        self.instance = Arc::new(stepper.into_instance());
         for (f, mut d) in derivs {
             // Stepper-local round numbers are rebased onto the lifetime
             // counter so provenance stays monotone across mutations.
             d.round = u32::try_from(round_base).unwrap_or(u32::MAX).saturating_add(d.round);
-            self.provenance.insert(f, d);
+            self.record(f, d);
         }
         MaintainOutcome {
             new_facts: 0,
@@ -415,6 +539,18 @@ impl IncrementalChase {
         }
     }
 
+    /// Records `d` as `fact`'s derivation, keeping the reverse index (if
+    /// built) in step, including when `d` replaces an earlier one.
+    fn record(&mut self, fact: Fact, d: Derivation) {
+        if let Some(rev) = &mut self.rev {
+            if let Some(old) = self.provenance.get(&fact) {
+                unlink(rev, &fact, old, None);
+            }
+            link(rev, &fact, &d);
+        }
+        self.provenance.insert(fact, d);
+    }
+
     /// Extracts the derivation tree of a resident fact (`None` if the
     /// fact is not resident). Base facts are leaves.
     pub fn explain(&self, fact: &Fact) -> Option<DerivationTree> {
@@ -425,7 +561,7 @@ impl IncrementalChase {
     /// provenance — meant for debugging commands, not hot paths).
     pub fn traced_view(&self) -> TracedChase {
         TracedChase {
-            instance: self.instance.clone(),
+            instance: (*self.instance).clone(),
             provenance: self.provenance.clone(),
             rounds: u32::try_from(self.rounds_total).unwrap_or(u32::MAX),
             fixpoint: self.complete,
@@ -661,6 +797,149 @@ mod tests {
             ChaseConfig::default(),
         );
         assert!(scratch.is_true());
+    }
+
+    /// The maintained reverse index equals one rebuilt from the
+    /// provenance (as multisets per key), and the support invariant
+    /// holds.
+    fn assert_index_in_step(inc: &IncrementalChase, step: &str) {
+        let sorted = |rev: &ReverseIndex| {
+            let mut v: Vec<(Fact, Vec<Fact>)> =
+                rev.iter().map(|(p, deps)| (p.clone(), deps.clone())).collect();
+            for (_, deps) in &mut v {
+                deps.sort();
+            }
+            v.sort();
+            v
+        };
+        if let Some(rev) = &inc.rev {
+            assert_eq!(sorted(rev), sorted(&reverse_index(&inc.provenance)), "{step}");
+        }
+        assert!(inc.check_support().is_none(), "{step}");
+    }
+
+    /// Scripted insert/retract sessions: the index is built on the first
+    /// retraction and stays in step with the provenance from then on.
+    fn run_index_script(src: &str, config: MaintainConfig) {
+        let prog = parse_program(src).unwrap();
+        let facts = prog.instance.facts().to_vec();
+        let mut voc = prog.voc.clone();
+        let mut inc = IncrementalChase::new(&prog.theory);
+        let (first, second) = facts.split_at(facts.len() / 2);
+        inc.insert(first, &mut voc, config);
+        assert!(inc.rev.is_none(), "no index before the first retraction");
+        let mut steps: Vec<(bool, Vec<Fact>)> = vec![
+            (true, facts.iter().take(1).cloned().collect()),
+            (false, second.to_vec()),
+            (true, first.to_vec()),
+            (false, first.to_vec()),
+        ];
+        for f in facts.iter().rev().take(4) {
+            steps.push((true, vec![f.clone()]));
+            steps.push((false, vec![f.clone()]));
+        }
+        steps.push((true, facts.clone()));
+        for (i, (retract, fs)) in steps.iter().enumerate() {
+            if *retract {
+                inc.retract(fs, &mut voc, config);
+            } else {
+                inc.insert(fs, &mut voc, config);
+            }
+            assert_index_in_step(&inc, &format!("step {i} of {src}"));
+        }
+        assert!(inc.instance().is_empty() && inc.provenance.is_empty());
+        assert_eq!(inc.rev, Some(ReverseIndex::default()));
+    }
+
+    #[test]
+    fn reverse_index_stays_in_step_with_provenance() {
+        let programs = [
+            // Example 1 on its 3-cycle: existential chains, cut by budget.
+            "E(X,Y) -> exists Z . E(Y,Z).
+             E(X,Y), E(Y,Z), E(Z,X) -> exists T . U(X,T).
+             U(X,Y) -> exists Z . U(Y,Z).
+             E(a,b). E(b,c). E(c,a).",
+            // Transitive closure: shared premises, many derivations each.
+            "E(X,Y), E(Y,Z) -> E(X,Z).
+             E(a,b). E(b,c). E(c,d). E(d,a). E(b,d).",
+            // A repeated premise and a multi-atom existential head.
+            "E(X,Y), E(Y,X) -> exists Z . R(X,Z), R(Z,Y).
+             R(X,Y) -> S(Y).
+             E(a,a). E(a,b). E(b,a). S(a).",
+        ];
+        for config in [MaintainConfig::default(), MaintainConfig { max_rounds: 2, ..cfg() }] {
+            for src in programs {
+                run_index_script(src, config);
+            }
+        }
+        // Seeded random programs over three binary predicates.
+        let shapes = [
+            "A(X,Y), B(Y,Z) -> C(X,Z).",
+            "A(X,Y) -> exists Z . B(Y,Z).",
+            "A(X,Y) -> C(Y,X).",
+            "A(X,X) -> exists Z . B(X,Z), C(Z,X).",
+            "A(X,Y), B(X,Y) -> C(X,X).",
+        ];
+        for seed in 0..40u64 {
+            let mut rng = bddfc_core::prng::SplitMix64::new(seed);
+            let preds = ["E", "F", "G"];
+            let mut src = String::new();
+            for _ in 0..rng.range(1, 4) {
+                let mut rule = rng.pick(&shapes).to_string();
+                for (slot, name) in [("A(", "E"), ("B(", "F"), ("C(", "G")] {
+                    let p = if rng.flip() { *rng.pick(&preds) } else { name };
+                    rule = rule.replace(slot, &format!("{p}("));
+                }
+                src.push_str(&rule);
+                src.push('\n');
+            }
+            for _ in 0..rng.range(2, 8) {
+                let (p, x, y) = (rng.pick(&preds), rng.below(4), rng.below(4));
+                src.push_str(&format!("{p}(c{x},c{y}).\n"));
+            }
+            run_index_script(&src, MaintainConfig { max_rounds: 4, ..cfg() });
+        }
+    }
+
+    #[test]
+    fn replacing_a_derivation_moves_its_index_entries() {
+        // E(a,c) is derivable through b and through d; replacing its
+        // recorded derivation moves its dependency from one path to the
+        // other, so retracting the old path no longer touches it.
+        let prog = parse_program(
+            "E(X,Y), E(Y,Z) -> E(X,Z).
+             E(a,b). E(b,c). E(a,d). E(d,c).",
+        )
+        .unwrap();
+        let mut voc = prog.voc.clone();
+        let mut inc = IncrementalChase::new(&prog.theory);
+        inc.insert(prog.instance.facts(), &mut voc, cfg());
+        let e = voc.pred("E", 2);
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| voc.constant(n));
+        let eac = Fact::new(e, vec![a, c]);
+        // A first retraction builds the index.
+        let extra = Fact::new(e, vec![c, voc.constant("e")]);
+        inc.insert(std::slice::from_ref(&extra), &mut voc, cfg());
+        inc.retract(&[extra], &mut voc, cfg());
+        assert!(inc.rev.is_some());
+        let old = inc.provenance[&eac].clone();
+        let via = if old.premises[0].args[1] == b { d } else { b };
+        let other = Derivation {
+            rule_idx: 0,
+            premises: vec![Fact::new(e, vec![a, via]), Fact::new(e, vec![via, c])],
+            round: old.round,
+        };
+        inc.record(eac.clone(), other);
+        assert_index_in_step(&inc, "after replacing a derivation");
+        let old_path = old.premises[1].clone();
+        let out = inc.retract(&[old_path], &mut voc, cfg());
+        assert_eq!(out.overdeleted, 0, "E(a,c) no longer depends on the old path");
+        assert!(inc.instance().contains(&eac));
+        assert_index_in_step(&inc, "after retracting the old path");
+        let out = inc.retract(&[Fact::new(e, vec![via, c])], &mut voc, cfg());
+        assert_eq!(out.overdeleted, 1);
+        assert!(!inc.instance().contains(&eac));
+        assert_index_in_step(&inc, "after retracting the new path");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use bddfc_core::fxhash::FxHashMap;
 use std::ops::ControlFlow;
 
 /// Provenance of one derived fact.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Derivation {
     /// Index of the rule that derived the fact.
     pub rule_idx: usize,

@@ -19,6 +19,7 @@
 //! | `lint_stability` | linting is deterministic and panic-free |
 //! | `serve_vs_scratch_chase` | bddfc-serve incremental sessions vs from-scratch chase of the folded base |
 //! | `static_bound_vs_observed_rounds` | bddfc-analyze termination certificates vs the real chase |
+//! | `dred_seeded_vs_full` | DRed's seeded re-derivation round vs a full round over the survivors |
 //!
 //! [`Mutation`] deliberately breaks one engine side — the seeded
 //! known-bad mutations behind `bddfc-fuzz --mutate` that prove the
@@ -28,15 +29,16 @@ use crate::gen::FuzzCase;
 use crate::proptest_lite::{ensure, ensure_eq, PropResult};
 use bddfc_analyze::{analyze as static_analyze, domain::DomainAnalysis};
 use bddfc_chase::{
-    certain_ucq, certain_ucq_outcome, chase, chase_with, Certainty, ChaseConfig, ChaseStatus,
-    ChaseStepper, ChaseStrategy, ChaseVariant,
+    certain_ucq, certain_ucq_outcome, chase, chase_with, BudgetExhausted, Certainty, ChaseConfig,
+    ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, Derivation, IncrementalChase,
+    MaintainConfig, MaintainOutcome,
 };
 use bddfc_classes::{
     guard_violations, is_guarded, is_sticky, is_theorem3_fragment, is_weakly_acyclic,
     sticky_violations, theorem3_violations, weak_acyclicity_violation,
 };
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
-use bddfc_core::obs::Memory;
+use bddfc_core::obs::{Memory, NULL};
 use bddfc_core::prng::SplitMix64;
 use bddfc_core::satisfaction::satisfies_theory;
 use bddfc_core::{
@@ -191,6 +193,11 @@ pub static PROPS: &[Prop] = &[
         name: "static_bound_vs_observed_rounds",
         describe: "bddfc-analyze termination certificates dominate the observed chase",
         check: static_bound_vs_observed_rounds,
+    },
+    Prop {
+        name: "dred_seeded_vs_full",
+        describe: "retraction's seeded re-derivation matches a full re-derivation round",
+        check: dred_seeded_vs_full,
     },
 ];
 
@@ -600,7 +607,10 @@ fn rewrite_vs_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResu
 
 /// `serve_vs_scratch_chase`: an incremental `bddfc-serve` session
 /// (insert half the facts, query, insert the rest, query, retract the
-/// first half, query) produces certain answers that agree with a
+/// first half, query, then, when the chase terminates within budget,
+/// retract and re-insert up to four single facts of the second half,
+/// querying after each retraction and at the end) produces certain
+/// answers that agree with a
 /// from-scratch chase of the *folded base* — the mutation log replayed
 /// into a plain fact set — at every query point where both sides
 /// decided, and the whole-session transcript is byte-identical at 1, 2
@@ -651,6 +661,20 @@ fn serve_vs_scratch_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> Pr
         steps.push(Step::Ret(first));
     }
     probe_all(&mut steps);
+    // The one-fact write shape: retract a single base fact, then put it
+    // back, so small DRed cones and re-insertion after retraction run.
+    // Only where the chase terminates within the budgets: each mutation
+    // of a budget-cut instance runs another round, so a cycle would grow
+    // it without bound.
+    let config = chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive);
+    if chase(&prog.instance, &prog.theory, &mut prog.voc.clone(), config).is_fixpoint() {
+        for f in second.iter().take(4) {
+            steps.push(Step::Ret(std::slice::from_ref(f)));
+            probe_all(&mut steps);
+            steps.push(Step::Ins(std::slice::from_ref(f)));
+        }
+        probe_all(&mut steps);
+    }
 
     let payload = |fs: &[Fact]| -> String {
         fs.iter().map(|f| format!("{}.", f.display(&qvoc))).collect::<Vec<_>>().join(" ")
@@ -850,6 +874,180 @@ fn static_bound_vs_observed_rounds(_case: &FuzzCase, prog: &Program, ctx: &PropC
         }
     }
     Ok(())
+}
+
+/// `dred_seeded_vs_full`: every retraction of an [`IncrementalChase`]
+/// equals the full DRed it replaces, rebuilt here from the public API:
+/// over-delete along the recorded derivations, rebuild the survivors,
+/// then resume the chase with *every* survivor as delta. The resident
+/// result must match in facts (in order), fresh-null names, recorded
+/// derivations and [`MaintainOutcome`]. Sessions insert the case's
+/// facts, retract the first half and then one more fact, re-insert
+/// both, cycle up to four single facts, retract a derived fact (a no-op)
+/// and finally every fact, under
+/// the context's round budget, under a two-round budget that leaves
+/// existential chains cut short, and with a zero-round first retraction.
+/// Every mutation of a budget-cut instance runs at least one more round,
+/// so a session stops early once the instance passes the fact budget.
+/// The mutation runs on the resident side.
+fn dred_seeded_vs_full(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
+    let resident_theory = ctx.mutation.apply(&prog.theory);
+    let facts = prog.instance.facts();
+    let (first, second) = facts.split_at(facts.len() / 2);
+    let mut session: Vec<(bool, &[Fact], &str)> = vec![(true, first, "the first half")];
+    // A second retraction before anything is re-inserted inherits what
+    // the first left pending.
+    if let Some(f) = second.first() {
+        session.push((true, std::slice::from_ref(f), "one fact after the first half"));
+        session.push((false, std::slice::from_ref(f), ""));
+    }
+    session.push((false, first, ""));
+    for f in facts.iter().step_by((facts.len() / 4).max(1)).take(4) {
+        session.push((true, std::slice::from_ref(f), "one fact"));
+        session.push((false, std::slice::from_ref(f), ""));
+    }
+    // (round budget, the first retraction's round budget): a zero-round
+    // retraction leaves every survivor pending for the next mutation.
+    let budgets = [(ctx.max_rounds, ctx.max_rounds), (2, 2), (ctx.max_rounds, 0)];
+    for (max_rounds, first_rounds) in budgets {
+        let config = MaintainConfig { max_rounds, max_facts: ctx.max_facts };
+        let mut voc = prog.voc.clone();
+        let mut inc = IncrementalChase::new(&resident_theory);
+        inc.insert(facts, &mut voc, config);
+        let derived = inc.instance().facts().iter().find(|f| !facts.contains(f)).cloned();
+        for (i, &(retract, fs, what)) in session.iter().enumerate() {
+            if inc.instance().len() > config.max_facts {
+                break;
+            }
+            if retract {
+                let rounds = if i == 0 { first_rounds } else { max_rounds };
+                let step = MaintainConfig { max_rounds: rounds, ..config };
+                checked_retract(&mut inc, &mut voc, fs, step, &prog.theory, what)?;
+            } else {
+                inc.insert(fs, &mut voc, config);
+            }
+        }
+        if let Some(d) = derived {
+            checked_retract(&mut inc, &mut voc, &[d], config, &prog.theory, "a derived fact")?;
+        }
+        checked_retract(&mut inc, &mut voc, facts, config, &prog.theory, "every fact")?;
+    }
+    Ok(())
+}
+
+/// One retraction of `fs` from `inc`, checked against full DRed over
+/// `theory` (see [`dred_seeded_vs_full`]).
+fn checked_retract(
+    inc: &mut IncrementalChase,
+    voc: &mut Vocabulary,
+    fs: &[Fact],
+    config: MaintainConfig,
+    theory: &Theory,
+    what: &str,
+) -> PropResult {
+    let before = inc.traced_view();
+    let (rounds_before, complete_before, exhausted_before) =
+        (inc.rounds_total(), inc.complete(), inc.exhausted());
+    let mut base: FxHashSet<Fact> = inc.base().iter().cloned().collect();
+    let mut ref_voc = voc.clone();
+    let out = inc.retract(fs, voc, config);
+
+    // Over-delete along the recorded derivations.
+    let mut prov = before.provenance;
+    let (mut retracted, mut deleted, mut work) = (0, FxHashSet::default(), Vec::new());
+    for f in fs {
+        if base.remove(f) {
+            retracted += 1;
+            if !prov.contains_key(f) && deleted.insert(f.clone()) {
+                work.push(f.clone());
+            }
+        }
+    }
+    let seeds = deleted.len();
+    let mut rev: FxHashMap<Fact, Vec<Fact>> = FxHashMap::default();
+    for (f, d) in &prov {
+        for p in &d.premises {
+            rev.entry(p.clone()).or_default().push(f.clone());
+        }
+    }
+    while let Some(x) = work.pop() {
+        for dep in rev.get(&x).into_iter().flatten() {
+            if prov.remove(dep).is_some() && !base.contains(dep) && deleted.insert(dep.clone()) {
+                work.push(dep.clone());
+            }
+        }
+    }
+    let mut survivors = Instance::new();
+    for f in before.instance.facts().iter().filter(|f| !deleted.contains(*f)) {
+        survivors.insert(f.clone());
+    }
+    let rederive_from = survivors.len();
+
+    // Re-derive with every survivor as delta, budgeted like a mutation.
+    let mut expected = MaintainOutcome {
+        new_facts: 0,
+        retracted,
+        overdeleted: deleted.len() - seeds,
+        rounds: 0,
+        complete: complete_before,
+        exhausted: exhausted_before,
+        facts_total: before.instance.len(),
+    };
+    let mut derivs: Vec<(Fact, Derivation)> = Vec::new();
+    let result = if retracted == 0 || survivors.is_empty() {
+        survivors
+    } else {
+        let len = survivors.len();
+        let mut stepper = ChaseStepper::resume(
+            survivors,
+            theory,
+            ChaseVariant::Restricted,
+            ChaseStrategy::SemiNaive,
+            &NULL,
+            0..len,
+        );
+        let status = loop {
+            if stepper.pending_delta().is_empty() {
+                break None;
+            }
+            if expected.rounds >= config.max_rounds {
+                break Some(BudgetExhausted::Rounds);
+            }
+            let grown = stepper.instance.len();
+            stepper.step_traced(&mut ref_voc, &mut derivs);
+            expected.rounds += 1;
+            if stepper.instance.len() == grown {
+                break None;
+            }
+            if stepper.instance.len() > config.max_facts {
+                break Some(BudgetExhausted::Facts);
+            }
+        };
+        (expected.complete, expected.exhausted) = (status.is_none(), status);
+        stepper.into_instance()
+    };
+    if retracted > 0 {
+        expected.new_facts = result.len() - rederive_from;
+        expected.facts_total = result.len();
+    }
+    ensure_eq(out, expected, &format!("retract {what}: outcome"))?;
+    ensure(
+        inc.instance().facts() == result.facts(),
+        &format!("retract {what}: resident facts differ from full DRed (or their order)"),
+    )?;
+    let nulls = |v: &Vocabulary| -> Vec<String> {
+        (0..v.const_count()).map(|i| v.const_name(ConstId(i as u32)).to_string()).collect()
+    };
+    ensure_eq(nulls(voc), nulls(&ref_voc), &format!("retract {what}: fresh-null names"))?;
+    for (f, mut d) in derivs {
+        d.round = u32::try_from(rounds_before).unwrap_or(u32::MAX).saturating_add(d.round);
+        prov.insert(f, d);
+    }
+    ensure(
+        inc.traced_view().provenance == prov,
+        &format!("retract {what}: recorded derivations differ from full DRed"),
+    )?;
+    ensure(inc.check_support().is_none(), &format!("retract {what}: unsupported fact"))
 }
 
 /// `lint_stability`: linting the case source twice gives byte-identical

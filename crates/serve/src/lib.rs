@@ -358,7 +358,7 @@ impl<'s, S: EventSink> Server<'s, S> {
         let epoch = Epoch {
             id: w.epoch_id,
             voc: Arc::new(w.voc.clone()),
-            instance: Arc::new(w.inc.instance().clone()),
+            instance: w.inc.shared_instance(),
             segments: Arc::new(w.segments.clone()),
             complete: w.inc.complete(),
             exhausted: w.inc.exhausted(),
@@ -846,6 +846,41 @@ mod tests {
         let sealed = server.snapshot();
         assert_eq!(sealed.segments.len(), 1);
         assert_eq!(*sealed.segments, vec![sealed.instance.len()]);
+    }
+
+    #[test]
+    fn epochs_share_the_writer_instance_and_copy_on_write() {
+        let prog = tc_program();
+        let server = Server::new(&prog, ServeConfig::default());
+        let writer = |server: &Server<'_>| {
+            let w = server.state.lock().unwrap();
+            (w.inc.shared_instance(), w.inc.instance_copies())
+        };
+        let pinned = server.snapshot();
+        let pinned_facts = pinned.instance.facts().to_vec();
+        let (inst, copies) = writer(&server);
+        assert!(Arc::ptr_eq(&pinned.instance, &inst), "the load epoch is the writer's instance");
+        drop(inst);
+
+        transcript(&server, "insert E(c,d).");
+        let inserted = server.snapshot();
+        let inserted_facts = inserted.instance.facts().to_vec();
+        let (inst, after_insert) = writer(&server);
+        assert_eq!(after_insert, copies + 1, "an insert copies the shared instance once");
+        assert!(Arc::ptr_eq(&inserted.instance, &inst));
+        drop(inst);
+
+        transcript(&server, "retract E(a,b).");
+        let retracted = server.snapshot();
+        let (inst, after_retract) = writer(&server);
+        assert_eq!(after_retract, after_insert, "a retract builds its survivors, copying nothing");
+        assert!(Arc::ptr_eq(&retracted.instance, &inst));
+
+        // Pins taken before each mutation still read their own facts.
+        assert_eq!(pinned.instance.facts(), &pinned_facts[..]);
+        assert_eq!(inserted.instance.facts(), &inserted_facts[..]);
+        assert!(inserted_facts.len() > pinned_facts.len());
+        assert!(retracted.instance.len() < inserted_facts.len());
     }
 
     #[test]
