@@ -81,6 +81,10 @@ echo "==> bddfc-fuzz join_kernel_vs_tuple_oracle (join kernel rows vs hom oracle
 cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
     --seed 1 --budget-ms 5000 --prop join_kernel_vs_tuple_oracle
 
+echo "==> bddfc-fuzz chase_vs_datalog_reference (chase fixpoint vs hom-only datalog reference)"
+cargo run -q --release -p bddfc-fuzz --bin bddfc-fuzz -- \
+    --seed 1 --budget-ms 5000 --prop chase_vs_datalog_reference
+
 echo "==> bddfc-serve golden transcript (incremental service smoke)"
 cargo run -q --release -p bddfc-serve --bin bddfc-serve -- tests/serve/session.dlg \
     < tests/serve/session.commands | diff -u tests/serve/session.golden -

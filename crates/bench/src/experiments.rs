@@ -648,8 +648,6 @@ fn e17() -> Vec<String> {
     rows
 }
 
-/// Run a single experiment and saturate datalog as a warmup sanity check
-/// (exercised by the bench harness tests).
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1180,7 +1180,8 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
     /// (canonically chosen) homomorphism witnessing the trigger against
     /// the pre-round instance. This is what incremental maintenance
     /// records so DRed retraction can later over-delete exactly the
-    /// facts whose recorded derivations lost a premise.
+    /// facts whose recorded derivations lost a premise, and what
+    /// [`crate::traced_chase`] drives.
     ///
     /// Costs one extra homomorphism search per fired trigger; the
     /// untraced path is unaffected.

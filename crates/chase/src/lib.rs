@@ -6,7 +6,8 @@
 //!   per-fact derivation depths ([`engine`]);
 //! * an oblivious variant for comparison ([`engine`]);
 //! * semi-naive saturation under the datalog rules only ([`saturate`]) —
-//!   the step Lemma 5 justifies in the finite-model pipeline;
+//!   the step Lemma 5 justifies in the finite-model pipeline, kept as a
+//!   small `hom`-based reference evaluator independent of the engine;
 //! * chase-based certain answers and derivation-depth probing
 //!   ([`answers`]);
 //! * a complete bounded-size finite model finder ([`finder`]) used to
@@ -31,7 +32,5 @@ pub use engine::{
     ChaseStats, ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, FiredSet,
 };
 pub use finder::{countermodel, find_model, find_model_with, FinderConfig, SearchOutcome};
-pub use saturate::{
-    saturate_datalog, saturate_datalog_naive, saturate_datalog_with, SaturationResult,
-};
+pub use saturate::{saturate_datalog, saturate_datalog_with, SaturationResult};
 pub use trace::{traced_chase, Derivation, DerivationTree, TracedChase};

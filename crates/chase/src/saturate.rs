@@ -1,18 +1,25 @@
-//! Semi-naive saturation under the datalog rules of a theory.
+//! Datalog saturation: the small, independent reference evaluator.
 //!
 //! The finite-model pipeline of Section 3 chases the quotient `Mη(S̄)`
 //! with the full theory but — by Lemma 5 — only the datalog rules ever
-//! fire. This module provides the saturation step directly: it applies
-//! *only* the datalog rules to a fixpoint, which always terminates (no new
-//! elements are ever created), using semi-naive evaluation (every derived
-//! fact must use at least one fact from the previous delta).
+//! fire. This module applies *only* the datalog rules to a fixpoint,
+//! which always terminates (no new elements are ever created).
+//!
+//! It is built on nothing but [`hom::for_each_hom`] — no join kernel, no
+//! `par` sharding — so it checks the chase engine from outside: on a
+//! datalog theory the restricted chase's fixpoint must be the same
+//! instance (the `chase_vs_datalog_reference` fuzz property and the
+//! benchmark's `chase_e13` check compare the two). Evaluation is
+//! semi-naive: each round, for every datalog rule and every body atom,
+//! the atom is unified with each fact of the previous round's delta and
+//! the body is enumerated from that binding, so every derivation uses at
+//! least one delta fact. A body-less rule has no delta to join and fires
+//! once, in the first round.
 
 use bddfc_core::fxhash::FxHashSet;
-use bddfc_core::join;
 use bddfc_core::obs::{Event, EventSink, SpanTimer, NULL};
-use bddfc_core::par;
-use bddfc_core::{ConstId, Fact, Instance, PredId, Rule, Term, Theory};
-use std::ops::Range;
+use bddfc_core::{hom, par, Atom, Binding, ConstId, Fact, Instance, Term, Theory};
+use std::ops::ControlFlow;
 
 /// The result of a datalog saturation.
 #[derive(Clone, Debug)]
@@ -35,248 +42,95 @@ impl SaturationResult {
     }
 }
 
-/// Evaluates one work item — a datalog rule with the batch join kernel,
-/// optionally pinned to a delta tail segment — and grounds its head once
-/// per output row, reading head arguments straight out of the batch's
-/// columns instead of materializing per-row bindings. Pure over `inst`,
-/// so items shard freely across threads; `seen` is only a local dedup
-/// (the round merge re-dedups globally).
-fn batch_rule(
-    inst: &Instance,
-    rule: &Rule,
-    pinned: Option<(usize, Range<usize>)>,
-    out: &mut Vec<Fact>,
-    seen: &mut FxHashSet<Fact>,
-    matches: &mut u64,
-    joins: Option<&mut join::JoinStats>,
-) {
-    let batch = join::eval_body(inst.columnar(), &rule.body, pinned, joins);
-    if batch.rows() == 0 {
-        return;
+/// The binding under which `atom` grounds to `fact`, if any.
+fn unify(atom: &Atom, fact: &Fact) -> Option<Binding> {
+    if atom.pred != fact.pred || atom.args.len() != fact.args.len() {
+        return None;
     }
-    *matches += batch.rows() as u64;
-    /// Where one head-atom argument comes from, resolved once per call.
-    enum Src {
-        Const(ConstId),
-        Col(usize),
-    }
-    let heads: Vec<(PredId, Vec<Src>)> = rule
-        .head
-        .iter()
-        .map(|atom| {
-            let srcs = atom
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => Src::Const(*c),
-                    Term::Var(v) => Src::Col(
-                        batch.col_of(*v).expect("datalog head variable bound by body"),
-                    ),
-                })
-                .collect();
-            (atom.pred, srcs)
-        })
-        .collect();
-    for row in 0..batch.rows() {
-        for (pred, srcs) in &heads {
-            let args: Vec<ConstId> = srcs
-                .iter()
-                .map(|s| match s {
-                    Src::Const(c) => *c,
-                    Src::Col(i) => batch.get(row, *i),
-                })
-                .collect();
-            let fact = Fact::new(*pred, args);
-            if !inst.contains(&fact) && seen.insert(fact.clone()) {
-                out.push(fact);
-            }
+    let mut b = Binding::default();
+    for (t, &c) in atom.args.iter().zip(&fact.args) {
+        let ok = match t {
+            Term::Const(k) => *k == c,
+            Term::Var(v) => *b.entry(*v).or_insert(c) == c,
+        };
+        if !ok {
+            return None;
         }
     }
+    Some(b)
 }
 
-fn saturate_impl<S: EventSink>(
-    inst: &Instance,
-    theory: &Theory,
-    naive: bool,
-    sink: &S,
-) -> SaturationResult {
-    // Keep each datalog rule's index in the *theory* — the attribution
-    // key shared with the chase's `chase`/`trigger` events.
-    let datalog: Vec<(usize, &Rule)> =
-        theory.rules.iter().enumerate().filter(|(_, r)| r.is_datalog()).collect();
-    // Per-shard attribution (indexed by datalog position), merged
-    // sequentially; only built when a recording sink is installed.
-    struct ShardAttr {
-        rule_matches: Vec<u64>,
-        rule_ns: Vec<u64>,
-        joins: join::JoinStats,
-    }
-    let new_attr = || {
-        if S::ENABLED {
-            Some(ShardAttr {
-                rule_matches: vec![0; datalog.len()],
-                rule_ns: vec![0; datalog.len()],
-                joins: join::JoinStats::default(),
-            })
-        } else {
-            None
-        }
-    };
+fn saturate_impl<S: EventSink>(inst: &Instance, theory: &Theory, sink: &S) -> SaturationResult {
     let run_span = if S::ENABLED { sink.span_open("saturate", "run", 0, None) } else { 0 };
     let mut current = inst.clone();
-    let mut delta = inst.clone();
-    let mut rounds = 0;
-    let mut derived = 0;
+    // The previous round's new facts: a suffix of the append-only
+    // `current.facts()` (the whole input before the first round).
+    let mut delta = 0..current.len();
     let mut body_matches_per_round = Vec::new();
     loop {
         let timer = SpanTimer::start();
+        let round = body_matches_per_round.len() as u64 + 1;
         let round_span = if S::ENABLED {
-            sink.span_open(
-                "saturate",
-                "round",
-                run_span,
-                Some(("round", body_matches_per_round.len() as u64 + 1)),
-            )
+            sink.span_open("saturate", "round", run_span, Some(("round", round)))
         } else {
             0
         };
-        // One work item per rule (naive) or per (rule, pinned atom)
-        // (semi-naive): the pin's delta facts are exactly the tail
-        // `delta_count` rows of its relation in `current` (append-only
-        // segments; nothing else is inserted between rounds).
-        let mut items = Vec::new();
-        for (di, (_, rule)) in datalog.iter().enumerate() {
-            if naive {
-                items.push((di, None));
+        // Enumerate against the frozen `current`; insert after the round.
+        let mut matches = 0u64;
+        let mut new_facts: Vec<Fact> = Vec::new();
+        let mut seen: FxHashSet<Fact> = FxHashSet::default();
+        let mut args: Vec<ConstId> = Vec::new();
+        for rule in theory.datalog_rules() {
+            let mut fire = |b: &Binding| {
+                matches += 1;
+                for atom in &rule.head {
+                    args.clear();
+                    args.extend(atom.args.iter().map(|t| match t {
+                        Term::Const(c) => *c,
+                        Term::Var(v) => b[v],
+                    }));
+                    if !current.contains_ground(atom.pred, &args) {
+                        let fact = Fact::new(atom.pred, args.clone());
+                        if seen.insert(fact.clone()) {
+                            new_facts.push(fact);
+                        }
+                    }
+                }
+                ControlFlow::Continue(())
+            };
+            if rule.body.is_empty() {
+                if round == 1 {
+                    let _ = fire(&Binding::default());
+                }
                 continue;
             }
             for (pin, atom) in rule.body.iter().enumerate() {
-                let k = delta.facts_with_pred(atom.pred).len();
-                if k == 0 {
-                    continue;
-                }
-                let rows = current.columnar().rows(atom.pred);
-                debug_assert!(k <= rows, "delta larger than its relation");
-                items.push((di, Some((pin, rows - k..rows))));
-            }
-        }
-        // Phase 1 (parallel): every shard derives candidate facts with a
-        // shard-local dedup against the frozen `current`, in work-list
-        // order, so the merged stream is the one a sequential loop builds.
-        let shard_out: Vec<(Vec<Fact>, u64, Option<ShardAttr>)> =
-            par::par_chunks(items.len(), |range| {
-                let mut out = Vec::new();
-                let mut seen = FxHashSet::default();
-                let mut matches = 0u64;
-                let mut attr = new_attr();
-                for (di, pinned) in &items[range] {
-                    let t = attr.is_some().then(SpanTimer::start);
-                    let before = matches;
-                    batch_rule(
-                        &current,
-                        datalog[*di].1,
-                        pinned.clone(),
-                        &mut out,
-                        &mut seen,
-                        &mut matches,
-                        attr.as_mut().map(|a| &mut a.joins),
-                    );
-                    if let Some(a) = attr.as_mut() {
-                        a.rule_ns[*di] += t.expect("timer set with attr").elapsed_ns();
-                        a.rule_matches[*di] += matches - before;
+                let mut rest = rule.body.clone();
+                rest.remove(pin);
+                for fact in &current.facts()[delta.clone()] {
+                    if let Some(init) = unify(atom, fact) {
+                        let _ = hom::for_each_hom(&current, &rest, &init, &mut fire);
                     }
-                }
-                (out, matches, attr)
-            });
-        // Phase 2 (sequential): merge shards in input order with a global
-        // first-occurrence dedup.
-        let mut new_facts = Vec::new();
-        let mut seen: FxHashSet<Fact> = FxHashSet::default();
-        let mut matches = 0u64;
-        let mut merged_attr = new_attr();
-        for (shard, m, attr) in shard_out {
-            matches += m;
-            if let (Some(total), Some(a)) = (merged_attr.as_mut(), attr) {
-                for (di, (&rm, &ns)) in a.rule_matches.iter().zip(&a.rule_ns).enumerate() {
-                    total.rule_matches[di] += rm;
-                    total.rule_ns[di] += ns;
-                }
-                total.joins.merge(&a.joins);
-            }
-            for fact in shard {
-                if seen.insert(fact.clone()) {
-                    new_facts.push(fact);
                 }
             }
         }
         body_matches_per_round.push(matches);
-        let fixpoint = new_facts.is_empty();
-        let mut round_derived = 0u64;
-        if !fixpoint {
-            rounds += 1;
-            let mut next_delta = Instance::new();
-            for fact in new_facts {
-                if current.insert(fact.clone()) {
-                    derived += 1;
-                    round_derived += 1;
-                    next_delta.insert(fact);
-                }
-            }
-            delta = next_delta;
+        let start = current.len();
+        for fact in new_facts {
+            current.insert(fact);
         }
+        let round_derived = current.len() - start;
+        delta = start..current.len();
         if S::ENABLED {
-            if let Some(a) = merged_attr {
-                for (di, &(theory_idx, _)) in datalog.iter().enumerate() {
-                    // Skip rules that never completed a match this round;
-                    // the skip decision only reads deterministic fields.
-                    if a.rule_matches[di] == 0 {
-                        continue;
-                    }
-                    sink.record(Event {
-                        engine: "saturate",
-                        name: "rule",
-                        parent: round_span,
-                        key: Some(("rule", theory_idx as u64)),
-                        fields: &[("body_matches", a.rule_matches[di])],
-                        gauges: &[("wall_ns", a.rule_ns[di])],
-                    });
-                }
-                for (pred, c) in a.joins.sorted() {
-                    if c.builds > 0 {
-                        sink.record(Event {
-                            engine: "join",
-                            name: "build",
-                            parent: round_span,
-                            key: Some(("pred", u64::from(pred.0))),
-                            fields: &[("builds", c.builds), ("rows", c.build_rows)],
-                            gauges: &[("wall_ns", c.build_ns)],
-                        });
-                    }
-                    if c.probes > 0 {
-                        sink.record(Event {
-                            engine: "join",
-                            name: "probe",
-                            parent: round_span,
-                            key: Some(("pred", u64::from(pred.0))),
-                            fields: &[
-                                ("probes", c.probes),
-                                ("rows", c.probe_rows),
-                                ("matches", c.matches),
-                            ],
-                            gauges: &[("wall_ns", c.probe_ns)],
-                        });
-                    }
-                }
-            }
             sink.record(Event {
                 engine: "saturate",
                 name: "round",
                 parent: round_span,
                 key: None,
                 fields: &[
-                    ("round", body_matches_per_round.len() as u64),
+                    ("round", round),
                     ("body_matches", matches),
-                    ("derived", round_derived),
+                    ("derived", round_derived as u64),
                     ("facts_total", current.len() as u64),
                 ],
                 gauges: &[
@@ -286,20 +140,27 @@ fn saturate_impl<S: EventSink>(
             });
             sink.span_close(round_span);
         }
-        if fixpoint {
+        if round_derived == 0 {
             break;
         }
     }
     if S::ENABLED {
         sink.span_close(run_span);
     }
+    // Every round but the final, empty one derived something.
+    let rounds = u32::try_from(body_matches_per_round.len() - 1).unwrap_or(u32::MAX);
+    let derived = current.len() - inst.len();
     SaturationResult { instance: current, rounds, derived, body_matches_per_round }
 }
 
 /// Saturates `inst` under the *datalog rules* of `theory` (existential
 /// TGDs are ignored), using semi-naive evaluation. Always terminates.
+///
+/// This is the reference evaluator, kept small rather than fast; the
+/// restricted [`crate::chase`] of the datalog rules reaches the same
+/// instance through the join kernel and is the fast path.
 pub fn saturate_datalog(inst: &Instance, theory: &Theory) -> SaturationResult {
-    saturate_impl(inst, theory, false, &NULL)
+    saturate_impl(inst, theory, &NULL)
 }
 
 /// Like [`saturate_datalog`], but reports one `saturate`/`round` event
@@ -312,21 +173,14 @@ pub fn saturate_datalog_with<S: EventSink>(
     theory: &Theory,
     sink: &S,
 ) -> SaturationResult {
-    saturate_impl(inst, theory, false, sink)
-}
-
-/// Naive-evaluation oracle for [`saturate_datalog`]: every round
-/// re-enumerates all body homomorphisms over the full instance. Same
-/// result, more work — kept for differential testing.
-pub fn saturate_datalog_naive(inst: &Instance, theory: &Theory) -> SaturationResult {
-    saturate_impl(inst, theory, true, &NULL)
+    saturate_impl(inst, theory, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bddfc_core::parse_program;
     use bddfc_core::satisfaction::satisfies_theory;
+    use bddfc_core::{parse_program, Rule};
 
     #[test]
     fn transitive_closure_of_chain() {
@@ -439,14 +293,6 @@ mod tests {
             .find(|&((e, n), _)| (e, n) == ("saturate", "round"))
             .map(|(_, c)| c);
         assert_eq!(round_events, Some(res.body_matches_per_round.len() as u64));
-        // Per-rule attribution (keyed by theory rule index) reconciles
-        // with the round totals, and join probes are charged.
-        assert_eq!(
-            sink.counter("saturate", "rule", "body_matches"),
-            res.total_body_matches()
-        );
-        assert!(sink.counter("join", "probe", "probes") > 0);
-        assert!(sink.counter("join", "probe", "matches") >= res.total_body_matches());
         // One run span + one span per round, all closed.
         let spans = sink.spans();
         assert_eq!(spans.len(), 1 + res.body_matches_per_round.len());
@@ -456,18 +302,37 @@ mod tests {
     }
 
     #[test]
-    fn naive_oracle_agrees_and_works_harder() {
+    fn reference_agrees_with_the_chase() {
         let edges: String = (1..=40).map(|i| format!("E(a{i},a{}). ", i + 1)).collect();
         let prog = parse_program(&format!("E(X,Y), E(Y,Z) -> E(X,Z). {edges}")).unwrap();
-        let semi = saturate_datalog(&prog.instance, &prog.theory);
-        let naive = saturate_datalog_naive(&prog.instance, &prog.theory);
-        assert_eq!(semi.instance, naive.instance);
-        assert_eq!(semi.derived, naive.derived);
-        assert!(
-            naive.total_body_matches() >= 2 * semi.total_body_matches(),
-            "naive {} vs semi-naive {}",
-            naive.total_body_matches(),
-            semi.total_body_matches()
+        let sat = saturate_datalog(&prog.instance, &prog.theory);
+        let res = crate::chase(
+            &prog.instance,
+            &prog.theory,
+            &mut prog.voc.clone(),
+            crate::ChaseConfig::default(),
         );
+        assert!(res.is_fixpoint());
+        assert_eq!(sat.instance, res.instance);
+        assert_eq!(sat.derived, 40 * 41 / 2 - 40);
+    }
+
+    #[test]
+    fn body_less_rules_fire_once_like_the_chase() {
+        let mut voc = bddfc_core::Vocabulary::new();
+        let p = voc.pred("P", 1);
+        let a = voc.constant("a");
+        let theory = Theory::new(vec![Rule::new(
+            vec![],
+            vec![Atom::new(p, vec![Term::Const(a)])],
+        )]);
+        let db = Instance::new();
+        let sat = saturate_datalog(&db, &theory);
+        let res = crate::chase(&db, &theory, &mut voc, crate::ChaseConfig::default());
+        assert!(res.is_fixpoint());
+        assert_eq!(sat.instance, res.instance);
+        assert_eq!(sat.derived, 1);
+        assert_eq!(sat.rounds, 1);
+        assert_eq!(sat.body_matches_per_round, vec![1, 0]);
     }
 }

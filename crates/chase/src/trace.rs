@@ -4,15 +4,16 @@
 //! The BDD property is all about *derivation depth* (Section 1.1: a
 //! theory is BDD iff every entailed query is witnessed within a bounded
 //! number of chase steps). The plain engine records depths; this traced
-//! variant additionally records, for every derived fact, the rule and
-//! the premise facts of its first derivation, so a full derivation tree
-//! (the object whose height the BDD definition bounds) can be extracted
-//! and inspected.
+//! run additionally records, for every derived fact, the rule and the
+//! premise facts of its first derivation, so a full derivation tree (the
+//! object whose height the BDD definition bounds) can be extracted and
+//! inspected. It has no chase loop of its own: [`traced_chase`] drives
+//! the engine's [`ChaseStepper::step_traced`], the same provenance path
+//! incremental maintenance uses.
 
-use bddfc_core::satisfaction::{head_satisfied, restrict_binding};
-use bddfc_core::{hom, Binding, Fact, Instance, Term, Theory, VarId, Vocabulary};
+use crate::engine::{ChaseStepper, ChaseStrategy, ChaseVariant};
 use bddfc_core::fxhash::FxHashMap;
-use std::ops::ControlFlow;
+use bddfc_core::{Fact, Instance, Theory, Vocabulary};
 
 /// Provenance of one derived fact.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,88 +188,32 @@ impl Drop for DerivationTree {
 }
 
 /// Runs a restricted chase recording provenance; bounded by `max_rounds`.
+///
+/// Drives [`ChaseStepper::step_traced`] (restricted, semi-naive), the
+/// path incremental maintenance records its derivations with, so the
+/// facts, fresh-null names and rounds are exactly those of
+/// [`crate::chase`] under the same budget.
 pub fn traced_chase(
     db: &Instance,
     theory: &Theory,
     voc: &mut Vocabulary,
     max_rounds: u32,
 ) -> TracedChase {
-    let mut inst = db.clone();
-    let mut provenance: FxHashMap<Fact, Derivation> = FxHashMap::default();
+    let mut stepper =
+        ChaseStepper::new(db, theory, ChaseVariant::Restricted, ChaseStrategy::SemiNaive);
+    let mut derivations = Vec::new();
     let mut rounds = 0;
     let mut fixpoint = false;
     while rounds < max_rounds {
-        // Collect repairs with their grounded premises against the frozen
-        // instance (simultaneous semantics, as in the plain engine).
-        struct Repair {
-            rule_idx: usize,
-            key: Vec<bddfc_core::ConstId>,
-            binding: Binding,
-            premises: Vec<Fact>,
-        }
-        let mut repairs: Vec<Repair> = Vec::new();
-        for (rule_idx, rule) in theory.rules.iter().enumerate() {
-            let mut frontier: Vec<VarId> = rule.frontier().into_iter().collect();
-            frontier.sort_unstable();
-            let mut seen: bddfc_core::fxhash::FxHashSet<Vec<bddfc_core::ConstId>> =
-                bddfc_core::fxhash::FxHashSet::default();
-            let _ = hom::for_each_hom(&inst, &rule.body, &Binding::default(), |b| {
-                let key: Vec<_> = frontier.iter().map(|v| b[v]).collect();
-                if seen.contains(&key) {
-                    return ControlFlow::Continue(());
-                }
-                seen.insert(key.clone());
-                let restricted = restrict_binding(b, &frontier);
-                if !head_satisfied(&inst, rule, &restricted) {
-                    let premises = rule
-                        .body
-                        .iter()
-                        .map(|a| {
-                            a.apply(&|v| b.get(&v).map(|&c| Term::Const(c)))
-                                .to_fact()
-                                .expect("body grounded by homomorphism")
-                        })
-                        .collect();
-                    repairs.push(Repair { rule_idx, key, binding: restricted, premises });
-                }
-                ControlFlow::Continue(())
-            });
-        }
-        if repairs.is_empty() {
+        let start = stepper.step_traced(voc, &mut derivations);
+        if stepper.instance.len() == start {
             fixpoint = true;
             break;
         }
-        // Canonical repair order — the same (rule, frontier-key) order as
-        // the plain engine, so fresh nulls get identical names.
-        repairs.sort_by(|a, b| (a.rule_idx, &a.key).cmp(&(b.rule_idx, &b.key)));
         rounds += 1;
-        for repair in repairs {
-            let rule = &theory.rules[repair.rule_idx];
-            let mut ext = repair.binding.clone();
-            let mut ex: Vec<VarId> = rule.existential_vars().into_iter().collect();
-            ex.sort_unstable();
-            for v in ex {
-                ext.insert(v, voc.fresh_null("n"));
-            }
-            for atom in &rule.head {
-                let fact = atom
-                    .apply(&|v| ext.get(&v).map(|&c| Term::Const(c)))
-                    .to_fact()
-                    .expect("head grounded");
-                if inst.insert(fact.clone()) {
-                    provenance.insert(
-                        fact,
-                        Derivation {
-                            rule_idx: repair.rule_idx,
-                            premises: repair.premises.clone(),
-                            round: rounds,
-                        },
-                    );
-                }
-            }
-        }
     }
-    TracedChase { instance: inst, provenance, rounds, fixpoint }
+    let provenance = derivations.into_iter().collect();
+    TracedChase { instance: stepper.into_instance(), provenance, rounds, fixpoint }
 }
 
 impl TracedChase {

@@ -20,6 +20,7 @@
 //! | `serve_vs_scratch_chase` | bddfc-serve incremental sessions vs from-scratch chase of the folded base |
 //! | `static_bound_vs_observed_rounds` | bddfc-analyze termination certificates vs the real chase |
 //! | `dred_seeded_vs_full` | DRed's seeded re-derivation round vs a full round over the survivors |
+//! | `chase_vs_datalog_reference` | restricted chase fixpoint of the datalog rules vs the `hom`-only `saturate_datalog` |
 //!
 //! [`Mutation`] deliberately breaks one engine side — the seeded
 //! known-bad mutations behind `bddfc-fuzz --mutate` that prove the
@@ -29,9 +30,9 @@ use crate::gen::FuzzCase;
 use crate::proptest_lite::{ensure, ensure_eq, PropResult};
 use bddfc_analyze::{analyze as static_analyze, domain::DomainAnalysis};
 use bddfc_chase::{
-    certain_ucq, certain_ucq_outcome, chase, chase_with, BudgetExhausted, Certainty, ChaseConfig,
-    ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, Derivation, IncrementalChase,
-    MaintainConfig, MaintainOutcome,
+    certain_ucq, certain_ucq_outcome, chase, chase_with, saturate_datalog, BudgetExhausted,
+    Certainty, ChaseConfig, ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, Derivation,
+    IncrementalChase, MaintainConfig, MaintainOutcome,
 };
 use bddfc_classes::{
     guard_violations, is_guarded, is_sticky, is_theorem3_fragment, is_weakly_acyclic,
@@ -198,6 +199,11 @@ pub static PROPS: &[Prop] = &[
         name: "dred_seeded_vs_full",
         describe: "retraction's seeded re-derivation matches a full re-derivation round",
         check: dred_seeded_vs_full,
+    },
+    Prop {
+        name: "chase_vs_datalog_reference",
+        describe: "a chase fixpoint of the datalog rules equals the hom-only saturate_datalog",
+        check: chase_vs_datalog_reference,
     },
 ];
 
@@ -515,6 +521,24 @@ fn join_kernel_vs_tuple_oracle(case: &FuzzCase, prog: &Program, ctx: &PropCtx) -
         }
     }
     Ok(())
+}
+
+/// `chase_vs_datalog_reference`: the chase engine end to end against the
+/// independent datalog reference. The case's datalog rules are chased
+/// (restricted, semi-naive, context budgets); when that reaches a
+/// fixpoint it must equal [`saturate_datalog`]'s instance, which
+/// evaluates the same rules with `hom` alone — no join kernel, no `par`.
+/// The mutation runs on the chase side.
+fn chase_vs_datalog_reference(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
+    let datalog = Theory::new(prog.theory.datalog_rules().cloned().collect());
+    let mutated = ctx.mutation.apply(&datalog);
+    let cfg = chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive);
+    let res = chase(&prog.instance, &mutated, &mut prog.voc.clone(), cfg);
+    if res.status != ChaseStatus::Fixpoint {
+        return Ok(());
+    }
+    let reference = saturate_datalog(&prog.instance, &datalog);
+    ensure_same_instance(&reference.instance, &res.instance, &prog.voc, "reference vs chase")
 }
 
 /// `classes_witness_oracle`: every witness-producing recognizer agrees
