@@ -606,7 +606,7 @@ fn admit_candidates(
             _ => WitnessSet::Unused,
         })
         .collect();
-    let unwitnessed: Vec<bool> = par::par_map(&cands, |c| {
+    let unwitnessed: Vec<bool> = par::par_map(&cands, cands.len(), |c| {
         let rule = &theory.rules[c.rule_idx];
         let tmpl = &templates[c.rule_idx];
         let wit = &witness[c.rule_idx];
@@ -660,6 +660,24 @@ fn sorted_frontier(rule: &Rule) -> Vec<VarId> {
 enum WorkItem {
     Kernel(usize, Option<(usize, Range<usize>)>),
     Seeded(usize, Binding),
+}
+
+/// `par` work units per estimated row of a trigger-collection item (the
+/// unit is one witness check, see [`par::MIN_PAR_WORK`]): each row drives
+/// probes of the rest of its body, so regions below about a thousand
+/// rows stay on the calling thread.
+const ROW_WORK: usize = 8;
+
+impl WorkItem {
+    /// The item's estimated rows: its pinned delta segment, the whole
+    /// instance when unpinned, one for a binding-seeded search.
+    fn est_rows(&self, inst: &Instance) -> usize {
+        match self {
+            WorkItem::Kernel(_, Some((_, tail))) => tail.len(),
+            WorkItem::Kernel(_, None) => inst.len(),
+            WorkItem::Seeded(..) => 1,
+        }
+    }
 }
 
 /// The frontier key of a body homomorphism `b` (packed like
@@ -801,8 +819,9 @@ fn collect_repairs<S: EventSink>(
     // emit locally-new `(rule, key)` pairs in work-list order. Shard-local
     // dedup is sound because phase 2 dedups again globally: the first
     // occurrence in the merged stream survives either way.
+    let est_work = items.iter().map(|item| item.est_rows(inst)).sum::<usize>() * ROW_WORK;
     let shard_out: Vec<(Vec<(usize, Key)>, u64, Option<ShardAttr>)> =
-        par::par_chunks(items.len(), |range| {
+        par::par_chunks(items.len(), est_work, |range| {
             let mut out = Vec::new();
             let mut matches = 0u64;
             let mut local_seen: FxHashSet<(usize, Key)> = FxHashSet::default();

@@ -331,7 +331,11 @@ fn find_model_impl(
     }
 
     let branch_budget = config.max_nodes - 1;
-    let outcomes: Vec<Dfs> = par::par_map_cancel(&branches, |idx, inst, cancel| {
+    // A branch may search its whole node budget; counting one work unit
+    // per budgeted node (a node costs far more than a witness check)
+    // keeps root branches parallel at the default budgets.
+    let work = usize::try_from(branch_budget).unwrap_or(usize::MAX).saturating_mul(branches.len());
+    let outcomes: Vec<Dfs> = par::par_map_cancel(&branches, work, |idx, inst, cancel| {
         let mut finder = Finder {
             theory,
             forbidden,

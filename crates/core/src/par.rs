@@ -12,11 +12,11 @@
 //!
 //! ## The shard-then-merge contract
 //!
-//! Work is split into *contiguous index shards*, one scoped thread per
-//! shard; each shard's results are collected separately and merged in
-//! input order. Provided the per-item computation is a pure function of
-//! the item (no observable side effects across items), the merged output
-//! is independent of the shard boundaries and therefore of the thread
+//! Work is split into *contiguous index shards*, one thread per shard;
+//! each shard's results are collected separately and merged in input
+//! order. Provided the per-item computation is a pure function of the
+//! item (no observable side effects across items), the merged output is
+//! independent of the shard boundaries and therefore of the thread
 //! count. Anything order- or identity-sensitive — applying chase
 //! repairs, interning fresh nulls, mutating a dedup set — stays on the
 //! calling thread, *after* the merge.
@@ -31,26 +31,58 @@
 //! calling thread: no spawns, no channels, byte-for-byte the reference
 //! semantics.
 //!
-//! Worker threads run their closures with the thread count pinned to 1,
-//! so nested `par_*` calls inside a parallel region degrade to the
-//! sequential path instead of oversubscribing the machine.
+//! ## Small regions stay on the caller
 //!
-//! Panics in workers are propagated: the first shard's panic payload (in
-//! shard order, for determinism) is resumed on the calling thread after
-//! all workers have been joined.
+//! Every entry point takes a *work estimate* from its call site, derived
+//! from a property of the input (delta rows, candidate count, domain
+//! size, …) and expressed in units of roughly one trigger witness check.
+//! A region whose estimate is below [`MIN_PAR_WORK`] takes the same
+//! sequential path as one thread does, whatever the thread count: a
+//! spawn costs tens of microseconds, more than many small regions take
+//! in total (the Theorem 2 pipeline's chase of a few dozen facts runs
+//! hundreds of such rounds). A single shard already satisfies the
+//! shard-then-merge contract, so the cutoff cannot change any output.
+//! [`with_min_work`] overrides the cutoff for the current thread's
+//! dynamic extent; the determinism suites set it to 0 so their small
+//! inputs still exercise the sharded path, and [`sharded_regions`] lets
+//! them check that it ran.
+//!
+//! ## Sharded regions
+//!
+//! A sharded region spawns `shards − 1` scoped workers and runs shard 0
+//! on the calling thread. Every shard, the caller's included, runs with
+//! the thread count pinned to 1, so nested `par_*` calls inside a
+//! parallel region degrade to the sequential path instead of
+//! oversubscribing the machine.
+//!
+//! Panics in any shard are propagated: the first shard's panic payload
+//! (in shard order, for determinism) is resumed on the calling thread
+//! after all workers have been joined.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::LocalKey;
 
 /// Upper bound on the default thread count when `BDDFC_THREADS` is not
 /// set. Explicit settings may exceed it.
 pub const MAX_DEFAULT_THREADS: usize = 16;
 
+/// Estimated work below which a region runs on the calling thread, in
+/// units of roughly one trigger witness check (30–140 ns on the E13
+/// graphs). Sharding a region costs a spawn and a join per extra worker
+/// (about 40 µs for one worker on a 2-vCPU VM); below this estimate that
+/// overhead exceeds what the extra threads save.
+pub const MIN_PAR_WORK: usize = 8192;
+
 thread_local! {
     /// Per-thread override installed by [`with_thread_count`].
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Per-thread cutoff override installed by [`with_min_work`].
+    static MIN_WORK_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Regions this thread has sharded, for [`sharded_regions`].
+    static SHARDED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Parses a `BDDFC_THREADS` value: a positive integer, surrounding
@@ -95,14 +127,39 @@ fn auto_threads() -> usize {
 /// (restored afterwards, even on panic). This is how the determinism
 /// suites re-run themselves at 1, 2 and 7 threads in-process.
 pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
+    with_override(&THREAD_OVERRIDE, n.max(1), f)
+}
+
+/// Runs `f` with the small-region cutoff set to `min_work` on the current
+/// thread (restored afterwards, even on panic) instead of
+/// [`MIN_PAR_WORK`]. `with_min_work(0, f)` shards every region of two or
+/// more items, which is how the determinism suites keep exercising the
+/// sharded path on small inputs.
+pub fn with_min_work<R>(min_work: usize, f: impl FnOnce() -> R) -> R {
+    with_override(&MIN_WORK_OVERRIDE, min_work, f)
+}
+
+/// Sets a thread-local override for the extent of `f`.
+fn with_override<R>(
+    key: &'static LocalKey<Cell<Option<usize>>>,
+    value: usize,
+    f: impl FnOnce() -> R,
+) -> R {
+    struct Restore(&'static LocalKey<Cell<Option<usize>>>, Option<usize>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
+            self.0.with(|c| c.set(self.1));
         }
     }
-    let _restore = Restore(THREAD_OVERRIDE.with(|c| c.replace(Some(n.max(1)))));
+    let _restore = Restore(key, key.with(|c| c.replace(Some(value))));
     f()
+}
+
+/// How many regions the current thread has split across threads so far.
+/// Tests compare it before and after a call to check that the sharded
+/// path actually ran.
+pub fn sharded_regions() -> u64 {
+    SHARDED.with(Cell::get)
 }
 
 /// Splits `0..len` into at most `shards` non-empty contiguous ranges of
@@ -121,37 +178,41 @@ fn split(len: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs `f` on each shard range, one scoped thread per shard, and
-/// returns the per-shard results in shard order. The sequential path
-/// (one thread, or fewer than two items) calls `f(0..len)` directly.
+/// Runs `f` on each shard range, one thread per shard, and returns the
+/// per-shard results in shard order. `work` is the call site's estimate
+/// of the region's cost (see [`MIN_PAR_WORK`]). The sequential path (one
+/// thread, fewer than two items, or `work` below the cutoff) calls
+/// `f(0..len)` directly.
 ///
 /// Determinism contract: the caller must combine the returned values in
 /// a *boundary-insensitive* way — `f(a..b)` then `f(b..c)`, combined,
 /// must equal `f(a..c)`. Concatenating per-index output vectors and
 /// summing per-index counters both qualify; anything keyed on the shard
 /// itself does not.
-pub fn par_chunks<R, F>(len: usize, f: F) -> Vec<R>
+pub fn par_chunks<R, F>(len: usize, work: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
     let threads = num_threads();
-    if threads <= 1 || len <= 1 {
+    let min_work = MIN_WORK_OVERRIDE.with(Cell::get).unwrap_or(MIN_PAR_WORK);
+    if threads <= 1 || len <= 1 || work < min_work {
         return vec![f(0..len)];
     }
-    let ranges = split(len, threads);
-    run_sharded(ranges, &f)
+    SHARDED.with(|c| c.set(c.get() + 1));
+    run_sharded(split(len, threads), &f)
 }
 
 /// Applies `f` to every item of `items` and returns the results in input
-/// order, computed on up to [`num_threads`] scoped threads.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+/// order, computed on up to [`num_threads`] threads when the estimated
+/// `work` reaches the cutoff (see [`par_chunks`]).
+pub fn par_map<T, R, F>(items: &[T], work: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let shards = par_chunks(items.len(), |range| {
+    let shards = par_chunks(items.len(), work, |range| {
         items[range].iter().map(&f).collect::<Vec<R>>()
     });
     let mut out = Vec::with_capacity(items.len());
@@ -193,14 +254,14 @@ impl Cancel {
 /// winning result get sequential-equivalent output at any thread count:
 /// a worker may only bail out once an earlier item has won, and such a
 /// worker's result is discarded by the lowest-winner rule anyway.
-pub fn par_map_cancel<T, R, F>(items: &[T], f: F) -> Vec<R>
+pub fn par_map_cancel<T, R, F>(items: &[T], work: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T, &Cancel) -> R + Sync,
 {
     let cancel = Cancel::new();
-    let shards = par_chunks(items.len(), |range| {
+    let shards = par_chunks(items.len(), work, |range| {
         range
             .map(|i| f(i, &items[i], &cancel))
             .collect::<Vec<R>>()
@@ -212,48 +273,35 @@ where
     out
 }
 
-/// Spawns one scoped thread per range, pins workers to one thread (so
-/// nested `par_*` calls run sequentially), joins them all, and resumes
-/// the first panic (in shard order) if any worker panicked.
+/// Runs shard 0 on the calling thread and every other range on a scoped
+/// worker, each pinned to one thread (so nested `par_*` calls run
+/// sequentially), joins them all, and resumes the first panic (in shard
+/// order) if any shard panicked.
 fn run_sharded<R, F>(ranges: Vec<Range<usize>>, f: &F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    let mut results: Vec<Result<R, Box<dyn std::any::Any + Send>>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    scope.spawn(move || {
-                        with_thread_count(1, || {
-                            catch_unwind(AssertUnwindSafe(|| f(range)))
-                        })
-                    })
-                })
-                .collect();
+    let run = |range: Range<usize>| {
+        with_thread_count(1, || catch_unwind(AssertUnwindSafe(|| f(range))))
+    };
+    let mut ranges = ranges.into_iter();
+    let first = ranges.next().expect("split yields at least one range");
+    let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges.map(|range| scope.spawn(move || run(range))).collect();
+        let mut results = vec![run(first)];
+        results.extend(
             handles
                 .into_iter()
-                .map(|h| h.join().expect("worker panics are caught inside"))
-                .collect()
-        });
-    if let Some(first) = results.iter().position(Result::is_err) {
-        // Re-raise the earliest shard's payload — deterministic
-        // regardless of worker timing.
-        match results.swap_remove(first) {
-            Err(payload) => {
-                drop(results);
-                resume_unwind(payload);
-            }
-            Ok(_) => unreachable!("position(is_err) found an Err"),
-        }
-    }
+                .map(|h| h.join().expect("shard panics are caught inside")),
+        );
+        results
+    });
+    // Unwrapping in shard order re-raises the earliest shard's payload,
+    // whatever the workers' timing.
     results
         .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(_) => unreachable!("errors handled above"),
-        })
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 
@@ -279,11 +327,14 @@ mod tests {
         }
     }
 
+    /// An estimate that always clears the default cutoff.
+    const BIG: usize = usize::MAX;
+
     #[test]
     fn par_map_preserves_input_order() {
         let items: Vec<u32> = (0..1000).collect();
         for threads in [1, 2, 7] {
-            let out = with_thread_count(threads, || par_map(&items, |&x| x * 2));
+            let out = with_thread_count(threads, || par_map(&items, BIG, |&x| x * 2));
             assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
         }
     }
@@ -293,10 +344,10 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         for threads in [1, 4] {
             with_thread_count(threads, || {
-                assert!(par_map(&empty, |&x: &u32| x).is_empty());
-                let shards = par_chunks(0, |r| r.len());
+                assert!(par_map(&empty, BIG, |&x: &u32| x).is_empty());
+                let shards = par_chunks(0, BIG, |r| r.len());
                 assert_eq!(shards.iter().sum::<usize>(), 0);
-                assert!(par_map_cancel(&empty, |_, &x: &u32, _| x).is_empty());
+                assert!(par_map_cancel(&empty, BIG, |_, &x: &u32, _| x).is_empty());
             });
         }
     }
@@ -306,7 +357,7 @@ mod tests {
         // One item never spawns: the closure runs on the calling thread.
         let caller = std::thread::current().id();
         let out = with_thread_count(8, || {
-            par_map(&[41], |&x| {
+            par_map(&[41], BIG, |&x| {
                 assert_eq!(std::thread::current().id(), caller);
                 x + 1
             })
@@ -314,10 +365,52 @@ mod tests {
         assert_eq!(out, vec![42]);
     }
 
+    /// The distinct threads `par_map` runs `items` on, and whether the
+    /// region counted as sharded.
+    fn threads_used(items: &[u32], work: usize) -> (Vec<std::thread::ThreadId>, bool) {
+        let before = sharded_regions();
+        let mut ids = par_map(items, work, |_| std::thread::current().id());
+        ids.dedup();
+        (ids, sharded_regions() > before)
+    }
+
+    #[test]
+    fn small_work_stays_on_the_caller() {
+        // Below the cutoff, many items and many threads still never spawn.
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..64).collect();
+        let (ids, sharded) =
+            with_thread_count(8, || threads_used(&items, MIN_PAR_WORK - 1));
+        assert_eq!(ids, vec![caller]);
+        assert!(!sharded);
+    }
+
+    #[test]
+    fn min_work_override_shards_a_two_item_region() {
+        // At the cutoff the region shards; under `with_min_work(0, ..)`
+        // even a zero estimate does. Shard 0 runs on the caller, shard 1
+        // on one worker.
+        let caller = std::thread::current().id();
+        for (work, min_work) in [(MIN_PAR_WORK, MIN_PAR_WORK), (0, 0)] {
+            let (ids, sharded) = with_thread_count(2, || {
+                with_min_work(min_work, || threads_used(&[1, 2], work))
+            });
+            assert_eq!(ids.len(), 2, "work {work}, cutoff {min_work}");
+            assert_eq!(ids[0], caller, "shard 0 runs on the calling thread");
+            assert_ne!(ids[1], caller);
+            assert!(sharded);
+        }
+        // The override is scoped: outside it the default cutoff is back.
+        let (ids, sharded) = with_thread_count(2, || threads_used(&[1, 2], 0));
+        assert_eq!(ids, vec![caller]);
+        assert!(!sharded);
+    }
+
     #[test]
     fn par_chunks_covers_the_range_exactly_once() {
         for threads in [1, 2, 3, 7, 64] {
-            let shards = with_thread_count(threads, || par_chunks(10, |r| r.collect::<Vec<_>>()));
+            let shards =
+                with_thread_count(threads, || par_chunks(10, BIG, |r| r.collect::<Vec<_>>()));
             let flat: Vec<usize> = shards.into_iter().flatten().collect();
             assert_eq!(flat, (0..10).collect::<Vec<_>>(), "threads = {threads}");
         }
@@ -325,19 +418,26 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate() {
-        let result = std::panic::catch_unwind(|| {
-            with_thread_count(4, || {
-                par_map(&(0..100).collect::<Vec<u32>>(), |&x| {
-                    if x == 57 {
-                        panic!("boom at {x}");
-                    }
-                    x
+        // Panics in a worker's shard, in the caller's shard 0, and in
+        // both: the earliest shard's payload is the one re-raised.
+        for (panics, expected) in [(&[57][..], 57), (&[3][..], 3), (&[3, 57][..], 3)] {
+            let before = num_threads();
+            let result = std::panic::catch_unwind(|| {
+                with_thread_count(4, || {
+                    par_map(&(0..100).collect::<Vec<u32>>(), BIG, |&x| {
+                        if panics.contains(&x) {
+                            panic!("boom at {x}");
+                        }
+                        x
+                    })
                 })
-            })
-        });
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("boom at 57"));
+            });
+            let payload = result.expect_err("panic must propagate");
+            let msg = payload.downcast_ref::<String>().expect("string payload");
+            assert_eq!(msg, &format!("boom at {expected}"));
+            // The caller's shard-0 pin was unwound along with it.
+            assert_eq!(num_threads(), before);
+        }
     }
 
     #[test]
@@ -345,18 +445,19 @@ mod tests {
         // Inside a parallel region the thread count is pinned to 1, so a
         // nested par_map must not spawn; outside it is restored.
         let items: Vec<u32> = (0..64).collect();
+        let before = num_threads();
         let out = with_thread_count(4, || {
-            par_map(&items, |&x| {
-                let inner: u32 = par_map(&items, |&y| y).iter().sum();
-                // At 4 threads the outer call runs shards on workers,
-                // where num_threads() reads 1 (except the degenerate
-                // single-shard case, which stays on the caller).
+            par_map(&items, BIG, |&x| {
+                // Every shard, the caller's shard 0 included, runs with
+                // num_threads() pinned to 1.
+                assert_eq!(num_threads(), 1);
+                let inner: u32 = par_map(&items, BIG, |&y| y).iter().sum();
                 inner + x
             })
         });
         let base: u32 = items.iter().sum();
         assert_eq!(out, items.iter().map(|&x| base + x).collect::<Vec<_>>());
-        assert_eq!(num_threads(), num_threads()); // override fully restored
+        assert_eq!(num_threads(), before, "override fully restored");
     }
 
     #[test]
@@ -376,7 +477,7 @@ mod tests {
             let skipped = AtomicU64::new(0);
             let items: Vec<usize> = (0..50).collect();
             let out = with_thread_count(threads, || {
-                par_map_cancel(&items, |i, _, cancel| {
+                par_map_cancel(&items, BIG, |i, _, cancel| {
                     if cancel.superseded(i) {
                         assert!(i > 2, "items at or before the winner never bail");
                         skipped.fetch_add(1, Ordering::Relaxed);

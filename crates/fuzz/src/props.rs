@@ -212,6 +212,13 @@ pub fn find_prop(name: &str) -> Option<&'static Prop> {
     PROPS.iter().find(|p| p.name == name)
 }
 
+/// Runs `f` at `threads` threads with `par`'s small-region cutoff off, so
+/// the thread-invariance checks shard even a fuzz case's small regions
+/// instead of passing on the sequential path.
+fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    par::with_thread_count(threads, || par::with_min_work(0, f))
+}
+
 fn chase_config(ctx: &PropCtx, variant: ChaseVariant, strategy: ChaseStrategy) -> ChaseConfig {
     ChaseConfig {
         max_rounds: ctx.max_rounds,
@@ -402,7 +409,7 @@ fn chase_certainty_strategy_blind(_case: &FuzzCase, prog: &Program, ctx: &PropCt
 fn chase_thread_invariance(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
     let mutated = ctx.mutation.apply(&prog.theory);
     let run = |threads: usize, theory: &Theory| {
-        par::with_thread_count(threads, || {
+        at_threads(threads, || {
             let sink = Memory::new(1 << 14);
             let res = chase_with(
                 &prog.instance,
@@ -734,7 +741,7 @@ fn serve_vs_scratch_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> Pr
         ..ServeConfig::default()
     };
     let run = |threads: usize| {
-        par::with_thread_count(threads, || {
+        at_threads(threads, || {
             let server = Server::new(&serve_prog, config);
             serve_transcript(&server, &script)
         })
@@ -833,7 +840,7 @@ fn static_bound_vs_observed_rounds(_case: &FuzzCase, prog: &Program, ctx: &PropC
 
     let a = static_analyze(&analyzed);
     let render = |threads: usize| {
-        par::with_thread_count(threads, || static_analyze(&analyzed).json("fuzz", &analyzed))
+        at_threads(threads, || static_analyze(&analyzed).json("fuzz", &analyzed))
     };
     let one = render(1);
     ensure_eq(one.clone(), a.json("fuzz", &analyzed), "analysis JSON is unstable")?;

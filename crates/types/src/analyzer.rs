@@ -36,6 +36,15 @@ use bddfc_core::obs::{Event, EventSink, SpanTimer, NULL};
 use bddfc_core::par;
 use bddfc_core::{hom, Atom, Binding, ConstId, Instance, Term, VarId, Vocabulary};
 
+/// `par` work units (about one chase witness check each, see
+/// [`par::MIN_PAR_WORK`]) per element whose bucket key is computed: a
+/// scan of the element's facts.
+const KEY_WORK: usize = 8;
+/// `par` work units per `≡ₙ` representative comparison: a homomorphism
+/// search per connected subset around the element, 2–6 µs on the zoo's
+/// chains at n = 2, 3.
+const EQUIV_WORK: usize = 64;
+
 /// Precomputed machinery for positive-type queries over one structure.
 pub struct TypeAnalyzer<'a> {
     inst: &'a Instance,
@@ -338,7 +347,7 @@ impl<'a> TypeAnalyzer<'a> {
         let timer = SpanTimer::start();
         let span = if S::ENABLED { sink.span_open("analyzer", "partition", 0, None) } else { 0 };
         let domain = self.inst.sorted_domain();
-        let keys: Vec<Option<Vec<u64>>> = par::par_map(&domain, |&d| {
+        let keys: Vec<Option<Vec<u64>>> = par::par_map(&domain, domain.len() * KEY_WORK, |&d| {
             if self.is_constant(d) {
                 None
             } else {
@@ -358,7 +367,7 @@ impl<'a> TypeAnalyzer<'a> {
             let candidates = by_bucket.entry(key).or_default();
             let reps: Vec<ConstId> = candidates.iter().map(|&ci| classes[ci][0]).collect();
             eq_checks += reps.len() as u64;
-            let hits = par::par_map(&reps, |&rep| self.equivalent(d, rep));
+            let hits = par::par_map(&reps, reps.len() * EQUIV_WORK, |&rep| self.equivalent(d, rep));
             if let Some(pos) = hits.iter().position(|&hit| hit) {
                 classes[candidates[pos]].push(d);
             } else {

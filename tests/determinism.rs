@@ -6,6 +6,14 @@
 //! per shard, merged in input order, order-sensitive phases sequential)
 //! is what makes this hold; this suite is the executable statement of
 //! that contract.
+//!
+//! Every multi-thread run goes through [`at_threads`], which turns off
+//! `par`'s small-region cutoff: the zoo's inputs are small enough that
+//! the default cutoff would keep them on the calling thread, and the
+//! comparisons would pass without sharding anything. Each test of an
+//! engine with parallel regions (all but the sequential datalog
+//! reference) also checks, through `par::sharded_regions`, that the
+//! sharded path ran.
 
 use bddfc::chase::{
     chase, chase_with, find_model, find_model_with, saturate_datalog, saturate_datalog_with,
@@ -23,6 +31,19 @@ use bddfc_fuzz::proptest_lite::run_prop;
 /// smallest genuine fork-join, and an odd count that never divides the
 /// work evenly (so shard boundaries move).
 const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Runs `f` at `threads` threads with `par`'s small-region cutoff off,
+/// so every region of two or more items is split across threads.
+fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    par::with_thread_count(threads, || par::with_min_work(0, f))
+}
+
+/// Asserts that this thread split at least one region across threads
+/// since `par::sharded_regions()` read `before`, so a test's comparisons
+/// did not pass on the sequential path alone.
+fn assert_sharded_since(before: u64, test: &str) {
+    assert!(par::sharded_regions() > before, "{test}: no region ran sharded");
+}
 
 fn zoo_programs() -> Vec<(&'static str, Program)> {
     vec![
@@ -52,7 +73,7 @@ fn assert_chase_identical(name: &str, db: &Instance, theory: &Theory, voc: &Voca
                 strategy,
             };
             let run = |threads: usize| -> ChaseResult {
-                par::with_thread_count(threads, || chase(db, theory, &mut voc.clone(), config))
+                at_threads(threads, || chase(db, theory, &mut voc.clone(), config))
             };
             let base = run(THREADS[0]);
             for &t in &THREADS[1..] {
@@ -73,29 +94,33 @@ fn assert_chase_identical(name: &str, db: &Instance, theory: &Theory, voc: &Voca
 
 #[test]
 fn chase_is_thread_count_invariant_on_zoo() {
+    let sharded = par::sharded_regions();
     for (name, prog) in zoo_programs() {
         assert_chase_identical(name, &prog.instance, &prog.theory, &prog.voc);
     }
+    assert_sharded_since(sharded, "chase_is_thread_count_invariant_on_zoo");
 }
 
 #[test]
 fn chase_is_thread_count_invariant_on_random_programs() {
+    let sharded = par::sharded_regions();
     run_prop("chase_is_thread_count_invariant_on_random_programs", 12, |g| {
         let seed = g.u64_in("seed", 0, 1 << 32);
         let prog = random_program(seed);
         assert_chase_identical("random", &prog.instance, &prog.theory, &prog.voc);
         Ok(())
     });
+    assert_sharded_since(sharded, "chase_is_thread_count_invariant_on_random_programs");
 }
 
 #[test]
 fn saturation_is_thread_count_invariant() {
     for (name, prog) in zoo_programs() {
         let base =
-            par::with_thread_count(1, || saturate_datalog(&prog.instance, &prog.theory));
+            at_threads(1, || saturate_datalog(&prog.instance, &prog.theory));
         for &t in &THREADS[1..] {
             let other =
-                par::with_thread_count(t, || saturate_datalog(&prog.instance, &prog.theory));
+                at_threads(t, || saturate_datalog(&prog.instance, &prog.theory));
             assert_eq!(base.instance, other.instance, "{name} at {t} threads: instance");
             assert_eq!(base.rounds, other.rounds, "{name} at {t} threads: rounds");
             assert_eq!(base.derived, other.derived, "{name} at {t} threads: derived");
@@ -109,6 +134,7 @@ fn saturation_is_thread_count_invariant() {
 
 #[test]
 fn analyzer_partition_is_thread_count_invariant() {
+    let sharded = par::sharded_regions();
     for (name, prog) in zoo_programs() {
         // Chase a little first so the instance has nulls to classify.
         let mut voc = prog.voc.clone();
@@ -120,7 +146,7 @@ fn analyzer_partition_is_thread_count_invariant() {
         );
         for n in [2usize, 3] {
             let run = |threads: usize| {
-                par::with_thread_count(threads, || {
+                at_threads(threads, || {
                     TypeAnalyzer::new(&chased.instance, &mut voc.clone(), n).partition()
                 })
             };
@@ -130,10 +156,12 @@ fn analyzer_partition_is_thread_count_invariant() {
             }
         }
     }
+    assert_sharded_since(sharded, "analyzer_partition_is_thread_count_invariant");
 }
 
 #[test]
 fn rewriter_is_thread_count_invariant() {
+    let sharded = par::sharded_regions();
     // Zoo programs with single-head theories, plus budget-capped
     // divergent cases; queries are the programs' own where present.
     let mut cases: Vec<(String, Theory, bddfc::core::ConjunctiveQuery, Vocabulary, RewriteConfig)> =
@@ -169,7 +197,7 @@ fn rewriter_is_thread_count_invariant() {
 
     for (name, theory, query, voc, config) in cases {
         let run = |threads: usize| {
-            par::with_thread_count(threads, || {
+            at_threads(threads, || {
                 rewrite_query(&query, &theory, &mut voc.clone(), config).expect("single-head")
             })
         };
@@ -183,6 +211,7 @@ fn rewriter_is_thread_count_invariant() {
             assert_eq!(base.max_depth, other.max_depth, "{ctx}: depth witness");
         }
     }
+    assert_sharded_since(sharded, "rewriter_is_thread_count_invariant");
 }
 
 /// Telemetry determinism: with a `Memory` sink attached, every engine's
@@ -194,9 +223,10 @@ fn rewriter_is_thread_count_invariant() {
 /// aggregation.
 #[test]
 fn telemetry_counters_are_thread_count_invariant() {
+    let sharded = par::sharded_regions();
     for (name, prog) in zoo_programs() {
         let run = |threads: usize| {
-            par::with_thread_count(threads, || {
+            at_threads(threads, || {
                 let sink = Memory::new(4096);
                 let mut voc = prog.voc.clone();
                 let chased = chase_with(
@@ -254,6 +284,7 @@ fn telemetry_counters_are_thread_count_invariant() {
             assert_eq!(base.6, other.6, "{ctx}: telemetry event counts");
         }
     }
+    assert_sharded_since(sharded, "telemetry_counters_are_thread_count_invariant");
 }
 
 /// Bounded-capacity semantics of the `Memory` sink: with a tiny cap the
@@ -264,10 +295,11 @@ fn telemetry_counters_are_thread_count_invariant() {
 /// the log is deterministic.
 #[test]
 fn memory_sink_bounded_cap_is_thread_count_invariant() {
+    let sharded = par::sharded_regions();
     let prog = bddfc::zoo::example1();
     let config = ChaseConfig { max_rounds: 4, max_facts: 2_000, ..Default::default() };
     let run = |threads: usize, cap: usize| {
-        par::with_thread_count(threads, || {
+        at_threads(threads, || {
             let sink = Memory::new(cap);
             let _ = chase_with(&prog.instance, &prog.theory, &mut prog.voc.clone(), config, &sink);
             (
@@ -309,6 +341,7 @@ fn memory_sink_bounded_cap_is_thread_count_invariant() {
     for &t in &THREADS[1..] {
         assert_eq!(run(t, CAP), base, "bounded Memory sink at {t} threads");
     }
+    assert_sharded_since(sharded, "memory_sink_bounded_cap_is_thread_count_invariant");
 }
 
 /// Span-id determinism: the deterministic half of a span — id, parent,
@@ -317,9 +350,10 @@ fn memory_sink_bounded_cap_is_thread_count_invariant() {
 /// are gauges.
 #[test]
 fn span_identities_are_thread_count_invariant() {
+    let sharded = par::sharded_regions();
     for (name, prog) in zoo_programs() {
         let run = |threads: usize| {
-            par::with_thread_count(threads, || {
+            at_threads(threads, || {
                 let sink = Memory::new(1 << 14);
                 let mut voc = prog.voc.clone();
                 let _ = chase_with(
@@ -356,14 +390,16 @@ fn span_identities_are_thread_count_invariant() {
             assert_eq!(base, run(t), "{name} at {t} threads: span identities");
         }
     }
+    assert_sharded_since(sharded, "span_identities_are_thread_count_invariant");
 }
 
 #[test]
 fn model_finder_is_thread_count_invariant() {
+    let sharded = par::sharded_regions();
     for (name, prog) in zoo_programs() {
         let forbidden = prog.queries.first();
         let run = |threads: usize| {
-            par::with_thread_count(threads, || {
+            at_threads(threads, || {
                 find_model(
                     &prog.instance,
                     &prog.theory,
@@ -379,4 +415,5 @@ fn model_finder_is_thread_count_invariant() {
             assert_eq!(base, run(t), "{name} at {t} threads: finder outcome");
         }
     }
+    assert_sharded_since(sharded, "model_finder_is_thread_count_invariant");
 }

@@ -5,7 +5,7 @@
 use bddfc::core::par;
 use bddfc_fuzz::check_case;
 use bddfc_fuzz::gen::{gen_case, random_program, Strat};
-use bddfc_fuzz::props::{Mutation, PropCtx, PROPS};
+use bddfc_fuzz::props::{find_prop, Mutation, PropCtx, PROPS};
 use bddfc_fuzz::proptest_lite::{ensure, run_prop};
 use bddfc_fuzz::shrink::{shrink, DEFAULT_MAX_EVALS};
 
@@ -47,6 +47,22 @@ fn random_program_is_deterministic() {
             "random_program instance drifted",
         )
     });
+}
+
+/// The registry's thread-count comparisons turn `par`'s small-region
+/// cutoff off; over a few seeds they must actually split regions across
+/// threads, or they would pass on the sequential path alone.
+#[test]
+fn thread_invariance_props_run_the_sharded_path() {
+    for name in ["chase_thread_invariance", "serve_vs_scratch_chase"] {
+        let prop = find_prop(name).expect("registered property");
+        let before = par::sharded_regions();
+        for seed in 0..8 {
+            let verdict = check_case(&gen_case(seed), prop, &PropCtx::default());
+            assert!(verdict.is_ok(), "{name} seed {seed}: {verdict:?}");
+        }
+        assert!(par::sharded_regions() > before, "{name}: no region ran sharded");
+    }
 }
 
 /// Seeds cycle through all five strata, so every class template stays

@@ -1,4 +1,6 @@
-//! Null-sink overhead guard: the telemetry layer in `bddfc_core::obs`
+//! Overhead guards, timed in-process as ratios so they hold on any host.
+//!
+//! Null-sink overhead: the telemetry layer in `bddfc_core::obs`
 //! promises that a `Null` sink costs nothing — event construction sits
 //! behind `if S::ENABLED` with `ENABLED = false` as a compile-time
 //! constant, so the instrumented chase must run at the speed of an
@@ -6,7 +8,10 @@
 //! workload (transitive closure over a seeded random graph, the
 //! chase-throughput bench shape) and fails if the median wall time of
 //! the public `chase` entry point exceeds the hand-stripped baseline
-//! kernel (`chase_uninstrumented_baseline`) by more than 5%.
+//! kernel (`chase_uninstrumented_baseline`) by more than 5%. The serve
+//! request path is held to the same margin with metrics on and off, and
+//! small work must not run slower at two threads than at one (`par`'s
+//! small-region cutoff).
 //!
 //! Timing assertions are inherently machine-sensitive, so the test
 //! self-skips (with a printed notice) in debug builds, where the
@@ -15,13 +20,20 @@
 
 use bddfc::chase::engine::chase_uninstrumented_baseline;
 use bddfc::chase::{chase, ChaseConfig};
-use bddfc::core::{parse_rule, Program, Theory, Vocabulary};
+use bddfc::core::{par, parse_into, parse_query, parse_rule, Program, Theory, Vocabulary};
+use bddfc::finite::{finite_countermodel, FcConfig};
 use bddfc_serve::{transcript, ServeConfig, Server};
 use std::time::{Duration, Instant};
 
 /// Serializes the timed sections: two timing tests racing each other
 /// for cores would measure contention, not overhead.
 static TIMING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Takes [`TIMING_LOCK`], ignoring poison: one guard failing its
+/// assertion must not fail the others, which still time correctly.
+fn timing_lock() -> std::sync::MutexGuard<'static, ()> {
+    TIMING_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Median-of-`n` wall time of `f`, after one warmup run.
 fn median_time<T>(n: usize, mut f: impl FnMut() -> T) -> Duration {
@@ -57,7 +69,7 @@ fn null_sink_chase_is_within_five_percent_of_uninstrumented_baseline() {
     let db = bddfc::zoo::random_graph(&mut voc, 60, 180, 13);
     let config = ChaseConfig { max_rounds: 8, max_facts: 200_000, ..Default::default() };
 
-    let _timing = TIMING_LOCK.lock().unwrap();
+    let _timing = timing_lock();
 
     // Sanity: both kernels compute the same instance before we time them.
     let instrumented = chase(&db, &theory, &mut voc.clone(), config);
@@ -114,7 +126,7 @@ fn serve_request_path_with_metrics_is_within_five_percent_of_disabled() {
     let script: String =
         "query E(v0,v1)\nquery E(v1,v0)\nquery E(v2,v3)\nquery E(v0,v0)\n".repeat(64);
 
-    let _timing = TIMING_LOCK.lock().unwrap();
+    let _timing = timing_lock();
 
     let on = Server::new(&program, ServeConfig::default());
     let off = Server::new(&program, ServeConfig { metrics: false, ..ServeConfig::default() });
@@ -139,4 +151,79 @@ fn serve_request_path_with_metrics_is_within_five_percent_of_disabled() {
          (limit 5%); the registry is leaking cost onto the request path",
         (best_ratio - 1.0) * 100.0
     );
+}
+
+/// `par`'s small-region cutoff promises that small work does not pay for
+/// threads it cannot use: the Theorem 2 pipeline on the chain case, and
+/// Example 1's six-round divergence prefix (the `chase_bench` row
+/// `chase_divergence_example1/6`), must run at two threads within 10% of
+/// their one-thread time, with the default cutoff (no `with_min_work`).
+#[test]
+fn small_work_at_two_threads_is_within_ten_percent_of_one() {
+    if cfg!(debug_assertions) {
+        println!(
+            "skipping overhead assertion in a debug build; \
+             run `cargo test --release --test overhead` to measure it"
+        );
+        return;
+    }
+
+    let chain = bddfc::zoo::chain_theory();
+    let mut chain_voc = chain.voc.clone();
+    let query = parse_query("E(X,X)", &mut chain_voc).unwrap();
+    let pipeline = || {
+        finite_countermodel(
+            &chain.instance,
+            &chain.theory,
+            &query,
+            &mut chain_voc.clone(),
+            FcConfig::default(),
+        )
+    };
+    let example1 = bddfc::zoo::example1();
+    let mut ex_voc = example1.voc.clone();
+    let (_, triangle, _) = parse_into("E(a,b). E(b,c). E(c,a).", &mut ex_voc).unwrap();
+    let divergence = || {
+        chase(&triangle, &example1.theory, &mut ex_voc.clone(), ChaseConfig::rounds(6))
+    };
+
+    let _timing = timing_lock();
+
+    // Sanity: both workloads give the same answer at both thread counts.
+    let model = |threads| {
+        par::with_thread_count(threads, || pipeline().model().map(|c| c.model.clone()))
+    };
+    let one = model(1);
+    assert!(one.is_some(), "the chain case has a countermodel");
+    assert_eq!(one, model(2), "pipeline diverged across thread counts; timing is meaningless");
+    assert_eq!(
+        par::with_thread_count(1, divergence).instance,
+        par::with_thread_count(2, divergence).instance,
+        "chase diverged across thread counts; timing is meaningless"
+    );
+
+    const ATTEMPTS: usize = 3;
+    const ITERS: usize = 9;
+    let ratio = |f: &dyn Fn() -> usize| {
+        let mut best = f64::INFINITY;
+        for _ in 0..ATTEMPTS {
+            let t_one = median_time(ITERS, || par::with_thread_count(1, f));
+            let t_two = median_time(ITERS, || par::with_thread_count(2, f));
+            best = best.min(t_two.as_secs_f64() / t_one.as_secs_f64());
+            if best <= 1.1 {
+                break;
+            }
+        }
+        best
+    };
+    let pipeline_ratio = ratio(&|| pipeline().model().map_or(0, |m| m.model_size));
+    let divergence_ratio = ratio(&|| divergence().instance.len());
+    for (name, r) in [("chain pipeline", pipeline_ratio), ("example1/6 chase", divergence_ratio)] {
+        assert!(
+            r <= 1.1,
+            "{name} is {:.1}% slower at 2 threads than at 1 (limit 10%); \
+             small regions are paying for thread spawns",
+            (r - 1.0) * 100.0
+        );
+    }
 }
