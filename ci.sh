@@ -23,6 +23,9 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo doc --no-deps --workspace (no broken intra-doc links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo test --release --test overhead (Null-sink overhead guard; self-skips in debug)"
 cargo test --release --offline --test overhead
 
@@ -92,7 +95,9 @@ cargo run -q --release -p bddfc-serve --bin bddfc-serve -- tests/serve/session.d
 echo "==> bddfc-serve --metrics-tcp scrape (Prometheus exposition smoke)"
 # Drive the golden session through a live server over a fifo, scrape the
 # metrics endpoint mid-session with bddfc-top (the only TCP client this
-# gate needs), then quit and diff the transcript as usual.
+# gate needs), then quit and diff the transcript as usual. Only the
+# bench step builds bddfc-top as a side effect, so build it here.
+cargo build -q --release -p bddfc-bench --bin bddfc-top
 mtmp=$(mktemp -d)
 mkfifo "$mtmp/in"
 ./target/release/bddfc-serve tests/serve/session.dlg --metrics-tcp 0 \

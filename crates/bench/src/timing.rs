@@ -10,7 +10,7 @@
 //! ## Machine-readable output
 //!
 //! Passing `--json` to a bench binary (or setting `BDDFC_BENCH_JSON=1`)
-//! makes every [`bench`] row *also* append one JSON line to
+//! makes every [`bench()`] row *also* append one JSON line to
 //! `BENCH_<target>.json` in the working directory — `schema`, `target`,
 //! `name`, `min_ns`, `median_ns`, `max_ns` and the worker-thread count —
 //! so the perf trajectory stays comparable across commits. Each binary

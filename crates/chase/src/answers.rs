@@ -8,10 +8,15 @@
 //!   (the chase is monotone);
 //! * if the chase reaches a fixpoint without the query — certainly false;
 //! * otherwise — unknown.
+//!
+//! The rounds run under `ChaseStepper::run`, the budget policy every
+//! chase entry point shares; the query check is its per-round hook, so a
+//! query witnessed on the round the fact cap trips still reads as true.
 
-use crate::engine::{chase, ChaseConfig, ChaseStepper, ChaseVariant};
+use crate::engine::{chase, ChaseConfig, ChaseStatus, ChaseStepper, ChaseVariant};
 use bddfc_core::obs::{EventSink, NULL};
 use bddfc_core::{hom, ConjunctiveQuery, Instance, Theory, Ucq, Vocabulary};
+use std::ops::ControlFlow;
 
 /// Outcome of a budgeted certain-answer computation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,18 +54,31 @@ pub enum BudgetExhausted {
     Facts,
 }
 
+impl BudgetExhausted {
+    /// The budget a run that stopped with `status` exhausted (`None` at a
+    /// fixpoint).
+    pub(crate) fn of(status: ChaseStatus) -> Option<Self> {
+        match status {
+            ChaseStatus::Fixpoint => None,
+            ChaseStatus::RoundBudget => Some(BudgetExhausted::Rounds),
+            ChaseStatus::FactBudget => Some(BudgetExhausted::Facts),
+        }
+    }
+}
+
 /// A [`Certainty`] plus *why* an undecided run stopped — kept separate
 /// from the `Certainty` enum itself so existing exhaustive matches keep
 /// compiling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CertainOutcome {
-    /// The verdict (what [`certain_ucq_with`] returns).
+    /// The verdict (what [`certain_ucq`] returns).
     pub certainty: Certainty,
     /// `Some` iff the verdict is [`Certainty::Unknown`]: the budget that
     /// stopped the run.
     pub exhausted: Option<BudgetExhausted>,
-    /// Chase rounds actually executed (0 when the query already holds in
-    /// the database or `max_rounds == 0`).
+    /// Chase rounds actually executed, counting the empty round that
+    /// certifies a fixpoint (0 when the query already holds in the
+    /// database or `max_rounds == 0`).
     pub rounds_run: u32,
 }
 
@@ -86,21 +104,7 @@ pub fn certain_ucq(
     query: &Ucq,
     config: ChaseConfig,
 ) -> Certainty {
-    certain_ucq_with(db, theory, voc, query, config, &NULL)
-}
-
-/// Like [`certain_ucq`], but the underlying chase reports per-round
-/// telemetry into `sink` (`chase`/`round` events) — this is where a
-/// budgeted [`Certainty::Unknown`] shows *where* the work went.
-pub fn certain_ucq_with<S: EventSink>(
-    db: &Instance,
-    theory: &Theory,
-    voc: &mut Vocabulary,
-    query: &Ucq,
-    config: ChaseConfig,
-    sink: &S,
-) -> Certainty {
-    certain_ucq_outcome_with(db, theory, voc, query, config, sink).certainty
+    certain_ucq_outcome(db, theory, voc, query, config).certainty
 }
 
 /// Like [`certain_ucq`], but reports the full [`CertainOutcome`] —
@@ -116,7 +120,9 @@ pub fn certain_ucq_outcome(
 }
 
 /// The instrumented entry point behind every `certain_*` function: the
-/// full [`CertainOutcome`] with per-round telemetry into `sink`.
+/// full [`CertainOutcome`] with per-round telemetry into `sink`
+/// (`chase`/`round` events) — this is where a budgeted
+/// [`Certainty::Unknown`] shows *where* the work went.
 pub fn certain_ucq_outcome_with<S: EventSink>(
     db: &Instance,
     theory: &Theory,
@@ -132,32 +138,21 @@ pub fn certain_ucq_outcome_with<S: EventSink>(
     let mut stepper =
         ChaseStepper::with_sink(db, theory, config.variant, config.strategy, sink)
             .under_span(run_span);
-    let mut certainty = Certainty::Unknown;
-    // Unknown by default means the round budget ran dry — overwritten by
-    // the fact-cap break below, cleared by any decision.
-    let mut exhausted = Some(BudgetExhausted::Rounds);
-    let mut rounds_run = 0;
-    for round in 1..=config.max_rounds {
-        let new_facts = stepper.step(voc);
-        rounds_run = round;
-        if new_facts.is_empty() {
-            certainty = Certainty::False;
-            exhausted = None;
-            break;
+    let (stop, rounds_run) = stepper.run(voc, config.max_rounds, config.max_facts, None, |inst| {
+        if hom::satisfies_ucq(inst, query) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-        if hom::satisfies_ucq(&stepper.instance, query) {
-            certainty = Certainty::True(round);
-            exhausted = None;
-            break;
-        }
-        if stepper.instance.len() > config.max_facts {
-            exhausted = Some(BudgetExhausted::Facts);
-            break;
-        }
-    }
+    });
     if S::ENABLED {
         sink.span_close(run_span);
     }
+    let (certainty, exhausted) = match stop {
+        None => (Certainty::True(rounds_run), None),
+        Some(ChaseStatus::Fixpoint) => (Certainty::False, None),
+        Some(status) => (Certainty::Unknown, BudgetExhausted::of(status)),
+    };
     CertainOutcome { certainty, exhausted, rounds_run }
 }
 

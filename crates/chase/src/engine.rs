@@ -27,6 +27,7 @@
 //! so they produce identical instances, null names and depths round by
 //! round.
 
+use crate::trace::Derivation;
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
 use bddfc_core::join;
 use bddfc_core::obs::{Event, EventSink, Null, SpanTimer, NULL};
@@ -35,7 +36,6 @@ use bddfc_core::{
     hom, Binding, ConstId, Fact, Instance, PredId, Rule, Term, Theory, VarId, Vocabulary,
 };
 use std::ops::{ControlFlow, Range};
-use std::time::Duration;
 
 /// Which chase variant to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -124,36 +124,24 @@ pub enum ChaseStatus {
 /// Work counters for a chase run — the trigger counter the benchmarks
 /// compare across strategies.
 ///
-/// **Deprecation note:** these ad-hoc fields predate the unified
-/// telemetry layer and are subsumed by the per-round `chase`/`round`
-/// events emitted into any [`EventSink`] (see [`chase_with`] and
-/// [`bddfc_core::obs`]), which additionally report candidates, witness
-/// checks, triggers pruned and nulls created. The fields are kept for
-/// the existing work-ratio assertions; new instrumentation should
+/// **Deprecation note:** this one deterministic counter predates the
+/// unified telemetry layer, whose per-round `chase`/`round` events (see
+/// [`chase_with`] and [`bddfc_core::obs`]) also report candidates,
+/// witness checks, triggers pruned, nulls created and wall time. It is
+/// kept for the work-ratio assertions of the benches and tests and for
+/// the profiler's reconciliation check; new instrumentation should
 /// attach a sink instead of growing this struct.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaseStats {
     /// Completed body homomorphisms enumerated in each round (including
     /// the final, empty round that certifies a fixpoint).
     pub body_matches_per_round: Vec<u64>,
-    /// Wall-clock time of each round (enumeration + repair application),
-    /// aligned with [`ChaseStats::body_matches_per_round`].
-    pub round_wall_times: Vec<Duration>,
-    /// Worker-thread count the run was configured with (see
-    /// [`bddfc_core::par::num_threads`]); purely informational — outputs
-    /// are identical at any thread count.
-    pub threads_used: usize,
 }
 
 impl ChaseStats {
     /// Total body-match attempts across all rounds.
     pub fn total_body_matches(&self) -> u64 {
         self.body_matches_per_round.iter().sum()
-    }
-
-    /// Total wall-clock time across all rounds.
-    pub fn total_wall_time(&self) -> Duration {
-        self.round_wall_times.iter().sum()
     }
 }
 
@@ -265,9 +253,10 @@ enum ArgSrc {
     Ex(usize),
 }
 
-/// How a [`RuleTemplate`] decides head satisfaction (the same three
-/// shapes as [`bddfc_core::satisfaction::HeadCheck`], recompiled against
-/// key slots instead of variable bindings).
+/// How a [`RuleTemplate`] decides head satisfaction, by the shape of the
+/// rule head; every plan gives the verdict of
+/// [`bddfc_core::satisfaction::head_satisfied`] on the key's frontier
+/// binding.
 enum HeadPlan {
     /// No existentials: one hash probe per head atom.
     Grounded,
@@ -335,8 +324,10 @@ impl RuleTemplate {
         RuleTemplate { frontier, ex, head, plan }
     }
 
-    /// Mirrors `HeadCheck::new`: every existential confined to one head
-    /// atom, once each, reduces the witness check to a posting scan.
+    /// Picks the plan: no existentials grounds every head atom; every
+    /// existential confined to one head atom, once each, reduces the
+    /// witness check to one probe of a projection of that atom's
+    /// relation.
     fn plan_of(head: &[(PredId, Vec<ArgSrc>)], ex_count: usize) -> HeadPlan {
         if ex_count == 0 {
             return HeadPlan::Grounded;
@@ -508,12 +499,6 @@ impl RuleTemplate {
     }
 
 }
-
-/// Opaque set of `(rule, frontier key)` triggers that already fired,
-/// threaded between successive [`chase_round`] calls (the oblivious
-/// chase fires every trigger exactly once across the whole run).
-#[derive(Default)]
-pub struct FiredSet(FxHashSet<(usize, Key)>);
 
 /// Per-rule attribution counters for one round, filled only when a
 /// recording sink is installed (`S::ENABLED`); each becomes one
@@ -966,40 +951,12 @@ fn apply_repairs(
     (start, nulls_created)
 }
 
-/// Runs one naive `Chase¹` round: one simultaneous round, enumerated
-/// against the whole instance. Returns the new facts; the instance is
-/// mutated in place. This is the one-shot oracle API — budgeted runs
-/// should go through [`chase`] or [`ChaseStepper`].
-pub fn chase_round(
-    inst: &mut Instance,
-    theory: &Theory,
-    voc: &mut Vocabulary,
-    variant: ChaseVariant,
-    fired: &mut FiredSet,
-) -> Vec<Fact> {
-    let mut work = RoundWork::default();
-    let templates: Vec<RuleTemplate> = theory.rules.iter().map(RuleTemplate::new).collect();
-    let repairs = collect_repairs::<Null>(
-        inst,
-        theory,
-        &templates,
-        variant,
-        &mut fired.0,
-        ChaseStrategy::Naive,
-        &[],
-        false,
-        Vec::new(),
-        None,
-        &mut work,
-    );
-    let (start, _) = apply_repairs(inst, &templates, voc, repairs, None);
-    inst.facts()[start..].to_vec()
-}
-
 /// A resumable round-by-round chase driver: owns the growing instance,
-/// the previous round's delta and the work counters, so callers (like the
-/// certain-answer loop) can interleave their own checks between rounds
-/// while still getting semi-naive evaluation.
+/// the previous round's delta and the work counters. Every budgeted
+/// entry point of this crate (the from-scratch chase, certain answers,
+/// the traced chase and incremental maintenance) steps it through one
+/// loop, `ChaseStepper::run`, so they share one stop policy; a caller
+/// that steps it directly interleaves its own checks between rounds.
 ///
 /// The driver is generic over an [`EventSink`]; the default [`Null`]
 /// sink compiles the telemetry away entirely (see [`bddfc_core::obs`]).
@@ -1069,7 +1026,7 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             sink,
             parent_span: 0,
             priors: None,
-            stats: ChaseStats { threads_used: par::num_threads(), ..ChaseStats::default() },
+            stats: ChaseStats::default(),
         }
     }
 
@@ -1110,7 +1067,7 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
             sink,
             parent_span: 0,
             priors: None,
-            stats: ChaseStats { threads_used: par::num_threads(), ..ChaseStats::default() },
+            stats: ChaseStats::default(),
         }
     }
 
@@ -1151,11 +1108,6 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         self
     }
 
-    /// Rounds completed so far by this stepper.
-    pub fn rounds_done(&self) -> u64 {
-        self.rounds_done
-    }
-
     /// The current unprocessed delta: the facts appended by the last
     /// completed round (or the initial delta before any round), which the
     /// next [`ChaseStepper::step`] will enumerate from. A driver that
@@ -1180,44 +1132,80 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
     /// `join`/`probe` event per joined predicate (keyed by predicate id)
     /// and the round summary event.
     pub fn step(&mut self, voc: &mut Vocabulary) -> Vec<Fact> {
-        let start = self.step_indexed(voc);
+        let start = self.step_impl(voc, None);
         self.instance.facts()[start..].to_vec()
     }
 
-    /// Runs one round like [`ChaseStepper::step`] but returns the index of
-    /// the first fact added this round instead of cloning the delta: the
-    /// new facts are `instance.facts()[start..]`. Drivers that only need
-    /// the delta's *size* (like the fixpoint check in [`chase_with`]) stay
-    /// allocation-free.
-    pub fn step_indexed(&mut self, voc: &mut Vocabulary) -> usize {
-        self.step_impl(voc, None)
-    }
-
-    /// Runs one round like [`ChaseStepper::step_indexed`], additionally
-    /// appending `(fact, derivation)` pairs for every fact the round
-    /// inserted to `out` — the premises are the grounded body of one
-    /// (canonically chosen) homomorphism witnessing the trigger against
-    /// the pre-round instance. This is what incremental maintenance
-    /// records so DRed retraction can later over-delete exactly the
-    /// facts whose recorded derivations lost a premise, and what
-    /// [`crate::traced_chase`] drives.
+    /// Runs one round like [`ChaseStepper::step`], but returns the index
+    /// of the first fact the round added (the new facts are
+    /// `instance.facts()[start..]`) and appends `(fact, derivation)`
+    /// pairs for every fact the round inserted to `out` — the premises
+    /// are the grounded body of one (canonically chosen) homomorphism
+    /// witnessing the trigger against the pre-round instance. This is
+    /// what incremental maintenance records so DRed retraction can later
+    /// over-delete exactly the facts whose recorded derivations lost a
+    /// premise, and what [`crate::traced_chase`] records.
     ///
     /// Costs one extra homomorphism search per fired trigger; the
     /// untraced path is unaffected.
     pub fn step_traced(
         &mut self,
         voc: &mut Vocabulary,
-        out: &mut Vec<(Fact, crate::trace::Derivation)>,
+        out: &mut Vec<(Fact, Derivation)>,
     ) -> usize {
         self.step_impl(voc, Some(out))
+    }
+
+    /// Runs rounds until a stop, under the one budget policy every chase
+    /// entry point shares:
+    ///
+    /// 1. before each step, `max_rounds` steps already run stop the run
+    ///    with [`ChaseStatus::RoundBudget`];
+    /// 2. a step that adds no fact is a fixpoint
+    ///    ([`ChaseStatus::Fixpoint`]);
+    /// 3. after a step that adds facts, `after_round` sees the instance
+    ///    first — a `Break` stops the run with status `None` (the
+    ///    certain-answer loop's "query witnessed");
+    /// 4. then an instance of more than `max_facts` facts stops the run
+    ///    with [`ChaseStatus::FactBudget`].
+    ///
+    /// Returns the stop and the number of steps run, counting the empty
+    /// step that certifies a fixpoint. With `traced`, every round records
+    /// its derivations as [`ChaseStepper::step_traced`] does.
+    pub(crate) fn run(
+        &mut self,
+        voc: &mut Vocabulary,
+        max_rounds: u32,
+        max_facts: usize,
+        mut traced: Option<&mut Vec<(Fact, Derivation)>>,
+        mut after_round: impl FnMut(&Instance) -> ControlFlow<()>,
+    ) -> (Option<ChaseStatus>, u32) {
+        let mut steps = 0;
+        let stop = loop {
+            if steps >= max_rounds {
+                break Some(ChaseStatus::RoundBudget);
+            }
+            let start = self.step_impl(voc, traced.as_deref_mut());
+            steps += 1;
+            if self.instance.len() == start {
+                break Some(ChaseStatus::Fixpoint);
+            }
+            if after_round(&self.instance).is_break() {
+                break None;
+            }
+            if self.instance.len() > max_facts {
+                break Some(ChaseStatus::FactBudget);
+            }
+        };
+        (stop, steps)
     }
 
     fn step_impl(
         &mut self,
         voc: &mut Vocabulary,
-        traced: Option<&mut Vec<(Fact, crate::trace::Derivation)>>,
+        traced: Option<&mut Vec<(Fact, Derivation)>>,
     ) -> usize {
-        let timer = SpanTimer::start();
+        let timer = S::ENABLED.then(SpanTimer::start);
         let round_span = if S::ENABLED {
             self.sink.span_open(
                 "chase",
@@ -1291,7 +1279,7 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
                 let (rule_idx, prem) = &premises[repair_idx];
                 out.push((
                     fact,
-                    crate::trace::Derivation {
+                    Derivation {
                         rule_idx: *rule_idx,
                         premises: prem.clone(),
                         round,
@@ -1301,10 +1289,9 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         }
         let new_fact_count = (self.instance.len() - start) as u64;
         self.delta = start..self.instance.len();
-        let wall = timer.elapsed();
-        self.stats.round_wall_times.push(wall);
         self.rounds_done += 1;
-        if S::ENABLED {
+        if let Some(timer) = timer {
+            let wall_ns = timer.elapsed_ns();
             for (rule_idx, rw) in work.rule_work.iter().enumerate() {
                 if rw.body_matches == 0 && rw.candidates == 0 && rw.triggers_fired == 0 {
                     continue;
@@ -1365,7 +1352,7 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
                     ("facts_total", self.instance.len() as u64),
                 ],
                 gauges: &[
-                    ("wall_ns", u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)),
+                    ("wall_ns", wall_ns),
                     ("threads", par::num_threads() as u64),
                 ],
             });
@@ -1436,24 +1423,15 @@ pub fn chase_with_priors<S: EventSink>(
         stepper = stepper.with_priors(p);
     }
     let mut round_ends = vec![db.len()];
-    let mut rounds = 0;
-    let status = loop {
-        if rounds >= config.max_rounds {
-            break ChaseStatus::RoundBudget;
-        }
-        let start = stepper.step_indexed(voc);
-        if stepper.instance.len() == start {
-            break ChaseStatus::Fixpoint;
-        }
-        rounds += 1;
-        round_ends.push(stepper.instance.len());
-        if stepper.instance.len() > config.max_facts {
-            break ChaseStatus::FactBudget;
-        }
-    };
+    let (stop, steps) = stepper.run(voc, config.max_rounds, config.max_facts, None, |inst| {
+        round_ends.push(inst.len());
+        ControlFlow::Continue(())
+    });
+    let status = stop.expect("the chase never breaks off a run itself");
     if S::ENABLED {
         sink.span_close(run_span);
     }
+    let rounds = steps - u32::from(status == ChaseStatus::Fixpoint);
     ChaseResult { instance: stepper.instance, round_ends, rounds, status, stats: stepper.stats }
 }
 

@@ -13,7 +13,11 @@
 //! facts as the delta, so [`IncrementalChase::insert_with`] simply
 //! appends the new facts and resumes the engine's [`ChaseStepper`] with
 //! them as the pending delta: rounds already applied are never re-run,
-//! and only rules whose bodies can touch the delta re-fire.
+//! and only rules whose bodies can touch the delta re-fire. The closure
+//! rounds of every mutation run under `ChaseStepper::run`, the budget
+//! policy every chase entry point shares, so a [`MaintainConfig`] stops
+//! a closure exactly where a [`crate::ChaseConfig`] with the same limits
+//! stops a from-scratch chase.
 //!
 //! ## Why retraction needs provenance
 //!
@@ -82,6 +86,7 @@ use crate::trace::{Derivation, DerivationTree, TracedChase};
 use bddfc_core::fxhash::{FxHashMap, FxHashSet};
 use bddfc_core::obs::{EventSink, NULL};
 use bddfc_core::{Fact, Instance, Theory, Vocabulary};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// The reverse premise index: each premise to the derived facts whose
@@ -155,7 +160,8 @@ pub struct MaintainOutcome {
     /// the retracted base facts themselves (retraction only; counts
     /// facts later re-derived too).
     pub overdeleted: usize,
-    /// Closure rounds this mutation ran.
+    /// Closure rounds this mutation ran, counting the empty round that
+    /// certifies a fixpoint.
     pub rounds: u32,
     /// Whether the resident instance is at a fixpoint of the theory.
     pub complete: bool,
@@ -190,8 +196,6 @@ pub struct IncrementalChase {
     complete: bool,
     exhausted: Option<BudgetExhausted>,
     rounds_total: u64,
-    overdeleted_total: u64,
-    rederived_total: u64,
     /// Static cardinality priors for the batch join planner (see
     /// [`IncrementalChase::with_priors`]).
     priors: Option<bddfc_core::Priors>,
@@ -213,8 +217,6 @@ impl IncrementalChase {
             complete: true,
             exhausted: None,
             rounds_total: 0,
-            overdeleted_total: 0,
-            rederived_total: 0,
             priors: None,
         }
     }
@@ -280,20 +282,6 @@ impl IncrementalChase {
     /// Total closure rounds run over the lifetime of this instance.
     pub fn rounds_total(&self) -> u64 {
         self.rounds_total
-    }
-
-    /// Lifetime total of facts removed by DRed over-deletion cascades,
-    /// beyond the retracted base facts themselves (counts facts later
-    /// re-derived too) — the cascade fan-out a metrics surface wants to
-    /// watch.
-    pub fn overdeleted_total(&self) -> u64 {
-        self.overdeleted_total
-    }
-
-    /// Lifetime total of facts the re-derivation phase brought back
-    /// after retractions.
-    pub fn rederived_total(&self) -> u64 {
-        self.rederived_total
     }
 
     /// Number of derived resident facts carrying a recorded derivation —
@@ -370,15 +358,7 @@ impl IncrementalChase {
             }
         }
         if retracted == 0 {
-            return MaintainOutcome {
-                new_facts: 0,
-                retracted: 0,
-                overdeleted: 0,
-                rounds: 0,
-                complete: self.complete,
-                exhausted: self.exhausted,
-                facts_total: self.instance.len(),
-            };
+            return self.outcome(0);
         }
         self.base.retain(|f| self.base_set.contains(f));
         let seed_count = deleted.len();
@@ -424,8 +404,6 @@ impl IncrementalChase {
         outcome.retracted = retracted;
         outcome.overdeleted = overdeleted;
         outcome.new_facts = self.instance.len() - rederive_from;
-        self.overdeleted_total += overdeleted as u64;
-        self.rederived_total += outcome.new_facts as u64;
         outcome
     }
 
@@ -440,10 +418,10 @@ impl IncrementalChase {
     }
 
     /// Runs provenance-recording closure rounds over the pending delta
-    /// until fixpoint or budget. After a retraction, `deleted` holds the
-    /// deleted facts: the first round is then the seeded re-derivation
-    /// round, run (and counted) even when it finds nothing, unless no
-    /// fact survived at all.
+    /// until fixpoint or budget, under [`ChaseStepper::run`]. After a
+    /// retraction, `deleted` holds the deleted facts: the first round is
+    /// then the seeded re-derivation round, run (and counted) even when
+    /// it finds nothing, unless no fact survived at all.
     fn close<S: EventSink>(
         &mut self,
         voc: &mut Vocabulary,
@@ -451,21 +429,11 @@ impl IncrementalChase {
         sink: &S,
         deleted: Option<&[Fact]>,
     ) -> MaintainOutcome {
-        let mut rounds = 0u32;
-        let mut derivs: Vec<(Fact, Derivation)> = Vec::new();
         let seeds = deleted.filter(|_| !self.instance.is_empty());
         if seeds.is_none() && self.delta_start == self.instance.len() {
             // Nothing pending (e.g. every inserted fact was already
             // resident): the completeness state is unchanged.
-            return MaintainOutcome {
-                new_facts: 0,
-                retracted: 0,
-                overdeleted: 0,
-                rounds,
-                complete: self.complete,
-                exhausted: self.exhausted,
-                facts_total: self.instance.len(),
-            };
+            return self.outcome(0);
         }
         self.instance_mut();
         let instance = Arc::into_inner(std::mem::take(&mut self.instance))
@@ -485,41 +453,26 @@ impl IncrementalChase {
         if let Some(d) = seeds {
             stepper = stepper.rederive(d);
         }
-        let round_base = self.rounds_total;
-        loop {
-            if (seeds.is_none() || rounds > 0) && stepper.pending_delta().is_empty() {
-                self.complete = true;
-                self.exhausted = None;
-                break;
-            }
-            if rounds >= config.max_rounds {
-                self.complete = false;
-                self.exhausted = Some(BudgetExhausted::Rounds);
-                break;
-            }
-            let before = stepper.instance.len();
-            stepper.step_traced(voc, &mut derivs);
-            rounds += 1;
-            if stepper.instance.len() == before {
-                self.complete = true;
-                self.exhausted = None;
-                break;
-            }
-            if stepper.instance.len() > config.max_facts {
-                self.complete = false;
-                self.exhausted = Some(BudgetExhausted::Facts);
-                break;
-            }
-        }
-        self.delta_start = if self.complete {
-            stepper.instance.len()
-        } else if seeds.is_some() && rounds == 0 {
+        let mut derivs: Vec<(Fact, Derivation)> = Vec::new();
+        let (stop, rounds) = stepper.run(
+            voc,
+            config.max_rounds,
+            config.max_facts,
+            Some(&mut derivs),
+            |_| ControlFlow::Continue(()),
+        );
+        self.exhausted = stop.and_then(BudgetExhausted::of);
+        self.complete = self.exhausted.is_none();
+        self.delta_start = if seeds.is_some() && rounds == 0 {
             // A zero-round budget cut off the seeded round: everything is
             // pending, so the next mutation re-enumerates every trigger.
             0
         } else {
+            // At a fixpoint this is the empty last round, which starts at
+            // the end of the instance.
             stepper.pending_delta().start
         };
+        let round_base = self.rounds_total;
         self.rounds_total += u64::from(rounds);
         self.instance = Arc::new(stepper.into_instance());
         for (f, mut d) in derivs {
@@ -528,6 +481,12 @@ impl IncrementalChase {
             d.round = u32::try_from(round_base).unwrap_or(u32::MAX).saturating_add(d.round);
             self.record(f, d);
         }
+        self.outcome(rounds)
+    }
+
+    /// The outcome of a mutation that ran `rounds` closure rounds, before
+    /// the caller fills in its own fact counts.
+    fn outcome(&self, rounds: u32) -> MaintainOutcome {
         MaintainOutcome {
             new_facts: 0,
             retracted: 0,
@@ -687,19 +646,18 @@ mod tests {
         let pa = prog.instance.facts()[0].clone();
         let out = inc.retract(&[pa], &mut voc, cfg());
         assert!(out.complete);
-        // P(a)'s null chain (E(a,n), U(n)) must go with it.
+        // P(a)'s null chain (E(a,n), U(n)) must go with it, nothing
+        // comes back, and the provenance index reflects the surviving
+        // derived facts.
         assert_eq!(out.overdeleted, 2);
+        assert_eq!(out.new_facts, 0);
         assert_eq!(inc.instance().len(), 3);
         assert!(inc.check_support().is_none());
-        // Lifetime counters track the cascade, and the provenance index
-        // reflects the surviving derived facts.
-        assert_eq!(inc.overdeleted_total(), 2);
-        assert_eq!(inc.rederived_total(), 0);
         assert_eq!(inc.provenance_len(), 2, "E(b,n') and U(n') stay derived");
     }
 
     #[test]
-    fn lifetime_counters_accumulate_across_retractions() {
+    fn retraction_outcomes_sum_across_retractions() {
         let prog = parse_program(
             "E(X,Y), E(Y,Z) -> E(X,Z).
              E(a,b). E(b,c). E(a,c).",
@@ -709,15 +667,19 @@ mod tests {
         let mut inc = IncrementalChase::new(&prog.theory);
         inc.insert(&prog.instance.facts().to_vec(), &mut voc, cfg());
         // Retracting base E(a,c) leaves it derivable: the cascade
-        // deletes nothing, but re-derivation brings back anything the
-        // over-deletion took (here the rebuilt E(a,c) support).
+        // deletes nothing, and re-derivation brings E(a,c) back from
+        // E(a,b), E(b,c).
         let eac = prog.instance.facts()[2].clone();
-        inc.retract(&[eac], &mut voc, cfg());
-        let after_first = (inc.overdeleted_total(), inc.rederived_total());
+        let first = inc.retract(&[eac], &mut voc, cfg());
+        assert_eq!((first.overdeleted, first.new_facts), (0, 1));
+        // Retracting E(a,b) takes that derivation's premise: E(a,c) is
+        // over-deleted and nothing brings it back.
         let eab = prog.instance.facts()[0].clone();
-        inc.retract(&[eab], &mut voc, cfg());
-        assert!(inc.overdeleted_total() >= after_first.0);
-        assert!(inc.rederived_total() >= after_first.1);
+        let second = inc.retract(&[eab], &mut voc, cfg());
+        assert_eq!((second.overdeleted, second.new_facts), (1, 0));
+        let totals =
+            (first.overdeleted + second.overdeleted, first.new_facts + second.new_facts);
+        assert_eq!(totals, (1, 1), "over-deleted and re-derived across both retractions");
         assert_eq!(inc.provenance_len(), 0, "no derived facts survive");
     }
 

@@ -23,13 +23,13 @@ pub mod saturate;
 pub mod trace;
 
 pub use answers::{
-    certain_cq, certain_ucq, certain_ucq_outcome, certain_ucq_outcome_with, certain_ucq_with,
-    chase_size_comparison, probe_depth, BudgetExhausted, CertainOutcome, Certainty,
+    certain_cq, certain_ucq, certain_ucq_outcome, certain_ucq_outcome_with, chase_size_comparison,
+    probe_depth, BudgetExhausted, CertainOutcome, Certainty,
 };
 pub use incremental::{IncrementalChase, MaintainConfig, MaintainOutcome};
 pub use engine::{
-    chase, chase_k, chase_round, chase_with, chase_with_priors, ChaseConfig, ChaseResult,
-    ChaseStats, ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant, FiredSet,
+    chase, chase_k, chase_with, chase_with_priors, ChaseConfig, ChaseResult, ChaseStats,
+    ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant,
 };
 pub use finder::{countermodel, find_model, find_model_with, FinderConfig, SearchOutcome};
 pub use saturate::{saturate_datalog, saturate_datalog_with, SaturationResult};

@@ -7,13 +7,14 @@
 //! run additionally records, for every derived fact, the rule and the
 //! premise facts of its first derivation, so a full derivation tree (the
 //! object whose height the BDD definition bounds) can be extracted and
-//! inspected. It has no chase loop of its own: [`traced_chase`] drives
-//! the engine's [`ChaseStepper::step_traced`], the same provenance path
-//! incremental maintenance uses.
+//! inspected. It has no chase loop of its own: [`traced_chase`] runs the
+//! engine's budgeted driver `ChaseStepper::run` with provenance
+//! recording on, the same path incremental maintenance uses.
 
-use crate::engine::{ChaseStepper, ChaseStrategy, ChaseVariant};
+use crate::engine::{ChaseStatus, ChaseStepper, ChaseStrategy, ChaseVariant};
 use bddfc_core::fxhash::FxHashMap;
 use bddfc_core::{Fact, Instance, Theory, Vocabulary};
+use std::ops::ControlFlow;
 
 /// Provenance of one derived fact.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,7 +35,8 @@ pub struct TracedChase {
     pub instance: Instance,
     /// Provenance for every non-database fact.
     pub provenance: FxHashMap<Fact, Derivation>,
-    /// Rounds completed.
+    /// Rounds completed that added facts (the empty round that certifies
+    /// a fixpoint is not counted).
     pub rounds: u32,
     /// Did the run reach a fixpoint?
     pub fixpoint: bool,
@@ -187,12 +189,13 @@ impl Drop for DerivationTree {
     }
 }
 
-/// Runs a restricted chase recording provenance; bounded by `max_rounds`.
+/// Runs a restricted chase recording provenance; bounded by `max_rounds`
+/// and by no fact cap.
 ///
-/// Drives [`ChaseStepper::step_traced`] (restricted, semi-naive), the
-/// path incremental maintenance records its derivations with, so the
-/// facts, fresh-null names and rounds are exactly those of
-/// [`crate::chase`] under the same budget.
+/// Runs `ChaseStepper::run` (restricted, semi-naive) with provenance
+/// recording, the path incremental maintenance records its derivations
+/// with, so the facts, fresh-null names and rounds are exactly those of
+/// [`crate::chase`] under the same round budget.
 pub fn traced_chase(
     db: &Instance,
     theory: &Theory,
@@ -202,16 +205,11 @@ pub fn traced_chase(
     let mut stepper =
         ChaseStepper::new(db, theory, ChaseVariant::Restricted, ChaseStrategy::SemiNaive);
     let mut derivations = Vec::new();
-    let mut rounds = 0;
-    let mut fixpoint = false;
-    while rounds < max_rounds {
-        let start = stepper.step_traced(voc, &mut derivations);
-        if stepper.instance.len() == start {
-            fixpoint = true;
-            break;
-        }
-        rounds += 1;
-    }
+    let (stop, steps) = stepper.run(voc, max_rounds, usize::MAX, Some(&mut derivations), |_| {
+        ControlFlow::Continue(())
+    });
+    let fixpoint = stop == Some(ChaseStatus::Fixpoint);
+    let rounds = steps - u32::from(fixpoint);
     let provenance = derivations.into_iter().collect();
     TracedChase { instance: stepper.into_instance(), provenance, rounds, fixpoint }
 }

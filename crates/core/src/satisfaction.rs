@@ -3,12 +3,10 @@
 //! `M ⊨ T` checking is what certifies every finite model this workspace
 //! produces; violation enumeration is what drives the chase.
 
-use crate::columnar::Relation;
 use crate::hom::{self, Binding};
 use crate::instance::Instance;
 use crate::rule::{Rule, Theory};
-use crate::symbols::{ConstId, VarId};
-use crate::term::{Atom, Term};
+use crate::symbols::VarId;
 use std::ops::ControlFlow;
 
 /// A witness that a rule is violated in an instance: a homomorphism of the
@@ -36,134 +34,6 @@ pub fn restrict_binding(binding: &Binding, vars: &[VarId]) -> Binding {
 /// Section 1.1: "such that there is no y ∈ D satisfying D ⊨ Q(y, ȳ)".
 pub fn head_satisfied(inst: &Instance, rule: &Rule, binding: &Binding) -> bool {
     hom::hom_exists(inst, &rule.head, binding)
-}
-
-/// How [`HeadCheck`] decides head satisfaction for its rule.
-enum HeadPlan {
-    /// No existential variables: a frontier binding grounds every head
-    /// atom, so the check is one `contains` lookup per atom.
-    Grounded,
-    /// Exactly one head atom mentions existential variables, each of
-    /// which occurs exactly once (and only in that atom): the other
-    /// atoms are grounded lookups and the special atom reduces to a
-    /// posting-list scan of its columnar relation.
-    SingleAtom(usize),
-    /// Anything else (shared or repeated existentials): fall back to the
-    /// general homomorphism search.
-    General,
-}
-
-/// A per-rule head-satisfaction plan, precompiled so the chase admission
-/// loop — which runs [`head_satisfied`] once per candidate trigger —
-/// avoids the general backtracking search on the common rule shapes.
-/// Produces exactly the same verdicts as [`head_satisfied`] on bindings
-/// that cover the rule frontier.
-pub struct HeadCheck {
-    plan: HeadPlan,
-}
-
-impl HeadCheck {
-    /// Compiles the plan for one rule.
-    pub fn new(rule: &Rule) -> Self {
-        let ex = rule.existential_vars();
-        if ex.is_empty() {
-            return HeadCheck { plan: HeadPlan::Grounded };
-        }
-        let touched: Vec<usize> = rule
-            .head
-            .iter()
-            .enumerate()
-            .filter(|(_, atom)| atom.vars().any(|v| ex.contains(&v)))
-            .map(|(i, _)| i)
-            .collect();
-        if let [only] = touched[..] {
-            let once_each = ex.iter().all(|&v| {
-                rule.head[only].vars().filter(|&w| w == v).count() == 1
-            });
-            if once_each {
-                return HeadCheck { plan: HeadPlan::SingleAtom(only) };
-            }
-        }
-        HeadCheck { plan: HeadPlan::General }
-    }
-
-    /// Is the head of the rule this plan was compiled for satisfiable in
-    /// `inst` under the (frontier-covering) binding?
-    pub fn satisfied(&self, inst: &Instance, rule: &Rule, binding: &Binding) -> bool {
-        match self.plan {
-            HeadPlan::Grounded => {
-                rule.head.iter().all(|atom| grounded_atom_holds(inst, atom, binding))
-            }
-            HeadPlan::SingleAtom(idx) => {
-                rule.head
-                    .iter()
-                    .enumerate()
-                    .all(|(i, atom)| i == idx || grounded_atom_holds(inst, atom, binding))
-                    && witness_row_exists(inst, &rule.head[idx], binding)
-            }
-            HeadPlan::General => hom::hom_exists(inst, &rule.head, binding),
-        }
-    }
-}
-
-/// Grounds `atom` under `binding` and asks the instance for the fact.
-/// Unbound variables make the atom non-ground and the answer `false`
-/// (plans only route atoms here whose variables the binding covers).
-fn grounded_atom_holds(inst: &Instance, atom: &Atom, binding: &Binding) -> bool {
-    // Ground into a stack buffer for the overwhelmingly common small
-    // arities; the probe itself never materializes a fact either way.
-    let mut buf = [ConstId(0); 8];
-    let mut heap;
-    let args: &mut [ConstId] = if atom.args.len() <= buf.len() {
-        &mut buf[..atom.args.len()]
-    } else {
-        heap = vec![ConstId(0); atom.args.len()];
-        &mut heap
-    };
-    for (slot, t) in args.iter_mut().zip(&atom.args) {
-        match t {
-            Term::Const(c) => *slot = *c,
-            Term::Var(v) => match binding.get(v) {
-                Some(&c) => *slot = c,
-                None => return false,
-            },
-        }
-    }
-    inst.contains_ground(atom.pred, args)
-}
-
-/// Does any row of `atom`'s relation agree with the binding on every
-/// bound position? Unbound positions are distinct once-occurring
-/// existential variables (the [`HeadPlan::SingleAtom`] precondition), so
-/// row existence is exactly head satisfiability for that atom.
-fn witness_row_exists(inst: &Instance, atom: &Atom, binding: &Binding) -> bool {
-    let Some(rel) = inst.columnar().relation(atom.pred) else {
-        return false;
-    };
-    let bound: Vec<(usize, ConstId)> = atom
-        .args
-        .iter()
-        .enumerate()
-        .filter_map(|(pos, t)| match t {
-            Term::Const(c) => Some((pos, *c)),
-            Term::Var(v) => binding.get(v).map(|&c| (pos, c)),
-        })
-        .collect();
-    let Some(&(best_pos, best_c)) =
-        bound.iter().min_by_key(|&&(pos, c)| rel.matching(pos, c).len())
-    else {
-        return rel.rows() > 0;
-    };
-    let rows = rel.matching(best_pos, best_c);
-    if bound.len() == 1 {
-        return !rows.is_empty();
-    }
-    rows.iter().any(|&r| row_agrees(rel, r as usize, &bound))
-}
-
-/// Does row `r` hold element `c` at every `(pos, c)` in `bound`?
-fn row_agrees(rel: &Relation, r: usize, bound: &[(usize, ConstId)]) -> bool {
-    bound.iter().all(|&(pos, c)| rel.get(r, pos) == c)
 }
 
 /// Does the instance satisfy the rule?
