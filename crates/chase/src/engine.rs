@@ -102,12 +102,6 @@ impl ChaseConfig {
         self.strategy = s;
         self
     }
-
-    /// Sets the fact budget.
-    pub fn with_max_facts(mut self, n: usize) -> Self {
-        self.max_facts = n;
-        self
-    }
 }
 
 /// Why a chase run stopped.

@@ -108,44 +108,6 @@ impl DerivationTree {
         out
     }
 
-    /// Like [`DerivationTree::display`], but names each rule by its
-    /// pretty-printed head and source position instead of a bare index —
-    /// `[rule #0 -> E(Y,Z) at 1:1]`. Rules built programmatically (no
-    /// spans) omit the position; a rule index outside `theory` (a tree
-    /// explained against the wrong theory) degrades to the bare form.
-    pub fn display_with(&self, voc: &Vocabulary, theory: &Theory) -> String {
-        const MAX_INDENT: usize = 64;
-        let mut out = String::new();
-        let mut stack: Vec<(&DerivationTree, usize)> = vec![(self, 0)];
-        while let Some((t, indent)) = stack.pop() {
-            out.push_str(&"  ".repeat(indent.min(MAX_INDENT)));
-            out.push_str(&t.fact.display(voc).to_string());
-            match t.rule_idx {
-                Some(r) => match theory.rules.get(r) {
-                    Some(rule) => {
-                        let head = rule
-                            .head
-                            .iter()
-                            .map(|a| a.display(voc).to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        match rule.span() {
-                            Some(span) => {
-                                out.push_str(&format!("   [rule #{r} -> {head} at {span}]\n"));
-                            }
-                            None => out.push_str(&format!("   [rule #{r} -> {head}]\n")),
-                        }
-                    }
-                    None => out.push_str(&format!("   [rule #{r}]\n")),
-                },
-                None => out.push_str("   [database]\n"),
-            }
-            for p in t.premises.iter().rev() {
-                stack.push((p, indent + 1));
-            }
-        }
-        out
-    }
 }
 
 impl Clone for DerivationTree {
@@ -304,12 +266,6 @@ mod tests {
         let tree = traced.explain(&ad).unwrap();
         assert!(tree.height() >= 2); // needs two compositions
         assert!(tree.display(&voc).contains("[rule #0]"));
-        // The theory-aware rendering names the rule by head and span
-        // (the rule starts at line 1, column 1 of the program text).
-        let pretty = tree.display_with(&voc, &prog.theory);
-        assert!(pretty.contains("[rule #0 -> E(X,Z) at 1:1]"), "{pretty}");
-        assert!(pretty.contains("[database]"));
-        assert_eq!(pretty.lines().count(), tree.display(&voc).lines().count());
         // All leaves are database facts.
         fn leaves_are_db(t: &DerivationTree) -> bool {
             if t.premises.is_empty() {

@@ -1,11 +1,15 @@
-//! Columnar (struct-of-arrays) fact storage: the relation layer behind
-//! the batched hash-join kernel ([`crate::join`]).
+//! Columnar (struct-of-arrays) fact storage: the instance's by-predicate
+//! access path and the relation layer behind the batched hash-join
+//! kernel ([`crate::join`]).
 //!
 //! A [`ColumnarStore`] keeps, per predicate, one append-only `Vec<ConstId>`
-//! per argument position. Row `i` of predicate `P` is the `i`-th fact of
-//! `P` in instance insertion order, so the store is a transposed view of
-//! the instance's fact vector: scans walk dense `u32` columns instead of
-//! chasing one heap-allocated `Fact` per tuple. Because rows are only
+//! per argument position plus an `ids` column holding each row's
+//! instance-wide [`FactIdx`]. Row `i` of predicate `P` is the `i`-th fact
+//! of `P` in instance insertion order, so the store is a transposed view
+//! of the instance's fact vector: scans walk dense `u32` columns instead
+//! of chasing one heap-allocated `Fact` per tuple, and
+//! [`Relation::ids`] is the ascending list of `P`'s facts that
+//! [`crate::Instance::facts_with_pred`] returns. Because rows are only
 //! ever appended, any *segment* of a relation is a contiguous row range
 //! `lo..hi`; the semi-naive chase exploits this by remembering how many
 //! facts a round added per predicate — the round's delta is exactly the
@@ -26,25 +30,26 @@
 //! compare against.
 
 use crate::fxhash::FxHashMap;
+use crate::instance::FactIdx;
 use crate::symbols::{ConstId, PredId};
 use crate::term::Fact;
 use std::sync::OnceLock;
 
 /// One predicate's struct-of-arrays relation: `arity` parallel columns of
-/// equal length, plus lazily-derived per-`(position, element)` posting
-/// lists over rows.
+/// equal length and the column of each row's instance-wide fact index,
+/// plus lazily-derived per-`(position, element)` posting lists over rows.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     arity: usize,
-    rows: usize,
     cols: Vec<Vec<ConstId>>,
+    ids: Vec<FactIdx>,
     postings: OnceLock<FxHashMap<(u8, ConstId), Vec<u32>>>,
 }
 
 /// Postings are derived data, so equality is column equality.
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        self.arity == other.arity && self.rows == other.rows && self.cols == other.cols
+        self.arity == other.arity && self.cols == other.cols && self.ids == other.ids
     }
 }
 
@@ -54,8 +59,8 @@ impl Relation {
     fn new(arity: usize) -> Self {
         Relation {
             arity,
-            rows: 0,
             cols: vec![Vec::new(); arity],
+            ids: Vec::new(),
             postings: OnceLock::new(),
         }
     }
@@ -67,12 +72,18 @@ impl Relation {
 
     /// Number of stored rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.ids.len()
     }
 
     /// The column of argument position `pos` (length [`Relation::rows`]).
     pub fn col(&self, pos: usize) -> &[ConstId] {
         &self.cols[pos]
+    }
+
+    /// The instance-wide fact index of every row, ascending (row `i` is
+    /// fact `ids()[i]` of the instance).
+    pub fn ids(&self) -> &[FactIdx] {
+        &self.ids
     }
 
     /// The element at `(row, pos)`.
@@ -101,14 +112,14 @@ impl Relation {
         })
     }
 
-    fn push(&mut self, args: &[ConstId]) {
+    fn push(&mut self, idx: FactIdx, args: &[ConstId]) {
         debug_assert_eq!(args.len(), self.arity, "arity drift within a relation");
-        debug_assert!(self.rows < u32::MAX as usize, "relation row id overflow");
+        debug_assert!(self.ids.len() < u32::MAX as usize, "relation row id overflow");
         for (&c, col) in args.iter().zip(self.cols.iter_mut()) {
             col.push(c);
         }
+        self.ids.push(idx);
         self.postings.take();
-        self.rows += 1;
     }
 }
 
@@ -124,37 +135,47 @@ impl ColumnarStore {
         Self::default()
     }
 
-    /// Appends one fact as a new row of its predicate's relation. Callers
-    /// must present facts in instance insertion order so row ids mirror
-    /// per-predicate insertion order.
-    pub fn push(&mut self, fact: &Fact) {
-        let idx = fact.pred.index();
-        if idx >= self.rels.len() {
-            self.rels.resize_with(idx + 1, Relation::default);
+    /// Appends the fact stored at instance index `idx` as a new row of its
+    /// predicate's relation. Callers must present facts in increasing
+    /// `idx` order (instance insertion order) so rows mirror per-predicate
+    /// insertion order and every [`Relation::ids`] stays ascending.
+    pub fn push(&mut self, idx: FactIdx, fact: &Fact) {
+        let p = fact.pred.index();
+        if p >= self.rels.len() {
+            self.rels.resize_with(p + 1, Relation::default);
         }
-        let rel = &mut self.rels[idx];
-        if rel.rows == 0 && rel.arity != fact.args.len() {
+        let rel = &mut self.rels[p];
+        if rel.ids.is_empty() && rel.arity != fact.args.len() {
             *rel = Relation::new(fact.args.len());
         }
-        rel.push(&fact.args);
+        rel.push(idx, &fact.args);
     }
 
     /// The relation of `pred`, if any row was ever stored for it.
     pub fn relation(&self, pred: PredId) -> Option<&Relation> {
-        self.rels.get(pred.index()).filter(|r| r.rows > 0)
+        self.rels.get(pred.index()).filter(|r| !r.ids.is_empty())
+    }
+
+    /// The predicates with at least one row, ascending.
+    pub fn preds(&self) -> impl Iterator<Item = PredId> + '_ {
+        self.rels
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.ids.is_empty())
+            .map(|(i, _)| PredId(i as u32))
     }
 
     /// Number of rows stored for `pred` (0 for unknown predicates).
     pub fn rows(&self, pred: PredId) -> usize {
-        self.rels.get(pred.index()).map_or(0, |r| r.rows)
+        self.rels.get(pred.index()).map_or(0, |r| r.ids.len())
     }
 
     /// Builds the store of a fact slice from scratch. Semantically equal
     /// to pushing every fact in order onto an empty store.
     pub fn rebuild(facts: &[Fact]) -> Self {
         let mut store = ColumnarStore::new();
-        for fact in facts {
-            store.push(fact);
+        for (idx, fact) in facts.iter().enumerate() {
+            store.push(idx, fact);
         }
         store
     }
@@ -187,12 +208,36 @@ mod tests {
         let facts = soup(&mut voc, 200, 5);
         let mut incremental = ColumnarStore::new();
         for (i, fact) in facts.iter().enumerate() {
-            incremental.push(fact);
+            incremental.push(i, fact);
             if i % 50 == 0 {
                 assert_eq!(incremental, ColumnarStore::rebuild(&facts[..=i]));
             }
         }
         assert_eq!(incremental, ColumnarStore::rebuild(&facts));
+    }
+
+    #[test]
+    fn ids_match_a_scan_of_the_facts() {
+        let mut voc = Vocabulary::new();
+        let facts = soup(&mut voc, 150, 23);
+        let mut store = ColumnarStore::new();
+        for (i, fact) in facts.iter().enumerate() {
+            store.push(i, fact);
+            // Checked at several prefixes, not just the end.
+            if i % 50 == 0 || i + 1 == facts.len() {
+                let prefix = &facts[..=i];
+                let mut used: Vec<PredId> = prefix.iter().map(|f| f.pred).collect();
+                used.sort_unstable();
+                used.dedup();
+                assert_eq!(store.preds().collect::<Vec<_>>(), used);
+                for p in ["E", "U", "T"].map(|n| voc.find_pred(n).unwrap()) {
+                    let ids = store.relation(p).map_or(&[][..], |r| r.ids());
+                    let scan: Vec<FactIdx> =
+                        (0..prefix.len()).filter(|&j| prefix[j].pred == p).collect();
+                    assert_eq!(ids, scan.as_slice(), "ids of {p:?} at prefix {i}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -238,6 +283,7 @@ mod tests {
         let store = ColumnarStore::new();
         assert_eq!(store.rows(PredId(3)), 0);
         assert!(store.relation(PredId(3)).is_none());
+        assert_eq!(store.preds().count(), 0);
     }
 
     #[test]
@@ -245,7 +291,7 @@ mod tests {
         let mut voc = Vocabulary::new();
         let p = voc.pred("P", 0);
         let mut store = ColumnarStore::new();
-        store.push(&Fact::new(p, vec![]));
+        store.push(0, &Fact::new(p, vec![]));
         assert_eq!(store.rows(p), 1);
         assert_eq!(store.relation(p).unwrap().arity(), 0);
     }

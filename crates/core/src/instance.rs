@@ -1,24 +1,27 @@
 //! Database instances: indexed stores of ground facts.
 //!
-//! An [`Instance`] is the paper's "database instance … a set of facts".
-//! By-predicate lookups are served by a [`FactIndex`], position-constrained
-//! lookups by a [`ColumnarStore`] mirror (struct-of-arrays per predicate,
-//! also the batched join kernel's input), both kept incrementally up to
-//! date on insert, alongside the set of all facts for O(1) duplicate
-//! detection. The by-element access paths (active domain, element posting
-//! lists) live off the chase hot path: they are built lazily on first use
-//! and invalidated by the next insert.
+//! An [`Instance`] is the paper's "database instance … a set of facts",
+//! kept as three structures that every insert updates: the fact vector in
+//! insertion order, a content-hash table for O(1) duplicate detection,
+//! and a [`ColumnarStore`] (struct-of-arrays per predicate, also the
+//! batched join kernel's input). The columnar relations are the one
+//! by-predicate access path: each row carries its fact's [`FactIdx`], so
+//! [`Instance::facts_with_pred`] is a relation's id column, and their
+//! `(position, element)` postings answer position-constrained lookups.
+//! The by-element access paths (active domain, element posting lists)
+//! live off the chase hot path: they are built lazily on first use and
+//! invalidated by the next insert.
 
 use crate::columnar::ColumnarStore;
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use crate::index::FactIndex;
 use crate::symbols::{ConstId, PredId, Vocabulary};
 use crate::term::Fact;
 use std::fmt;
 use std::hash::Hasher;
 use std::sync::OnceLock;
 
-pub use crate::index::FactIdx;
+/// Position of a fact in its instance's insertion-ordered fact vector.
+pub type FactIdx = usize;
 
 /// The lazily-built by-element access paths: element posting lists
 /// (which double as the active domain, their key set).
@@ -62,7 +65,6 @@ pub struct Instance {
     /// facts spill to `collisions`, which stays empty in practice.
     by_hash: FxHashMap<u64, FactIdx>,
     collisions: Vec<FactIdx>,
-    index: FactIndex,
     columnar: ColumnarStore,
     elems: OnceLock<ElemIndex>,
 }
@@ -131,8 +133,7 @@ impl Instance {
                 v.insert(idx);
             }
         }
-        self.index.insert(idx, &fact);
-        self.columnar.push(&fact);
+        self.columnar.push(idx, &fact);
         self.elems.take();
         self.facts.push(fact);
     }
@@ -179,32 +180,16 @@ impl Instance {
         &self.facts[idx]
     }
 
-    /// The access-path index over this instance's facts.
-    pub fn index(&self) -> &FactIndex {
-        &self.index
-    }
-
     /// The columnar (struct-of-arrays) mirror of this instance's facts,
-    /// per predicate in insertion order; the batched join kernel's input.
+    /// per predicate in insertion order: the by-predicate access path and
+    /// the batched join kernel's input.
     pub fn columnar(&self) -> &ColumnarStore {
         &self.columnar
     }
 
-    /// Indexes of facts with the given predicate.
+    /// Indexes of facts with the given predicate, ascending.
     pub fn facts_with_pred(&self, pred: PredId) -> &[FactIdx] {
-        self.index.with_pred(pred)
-    }
-
-    /// Indexes of facts with the given predicate and element `c` at
-    /// argument position `pos` (computed from the columnar postings;
-    /// rows of `pred`'s relation map to global indexes via
-    /// [`Instance::facts_with_pred`]).
-    pub fn facts_with_pred_pos_const(&self, pred: PredId, pos: usize, c: ConstId) -> Vec<FactIdx> {
-        let with_pred = self.index.with_pred(pred);
-        match self.columnar.relation(pred) {
-            Some(rel) => rel.matching(pos, c).iter().map(|&r| with_pred[r as usize]).collect(),
-            None => Vec::new(),
-        }
+        self.columnar.relation(pred).map_or(&[], |r| r.ids())
     }
 
     /// Indexes of all facts containing the element `c` (each fact listed
@@ -263,19 +248,9 @@ impl Instance {
         out
     }
 
-    /// The set of predicates actually used by some fact.
+    /// The predicates actually used by some fact, ascending.
     pub fn used_preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        self.index.preds()
-    }
-
-    /// Applies an element mapping, producing the homomorphic image
-    /// (used by quotient constructions; the paper's "projection").
-    pub fn map_elements(&self, f: &impl Fn(ConstId) -> ConstId) -> Instance {
-        let mut out = Instance::new();
-        for fact in &self.facts {
-            out.insert(Fact::new(fact.pred, fact.args.iter().map(|&c| f(c)).collect()));
-        }
-        out
+        self.columnar.preds()
     }
 
     /// Renders all facts, sorted, one per line.
@@ -357,10 +332,11 @@ mod tests {
         let inst = chain(&mut voc, 3);
         let e = voc.find_pred("E").unwrap();
         let a1 = voc.find_const("a1").unwrap();
-        assert_eq!(inst.facts_with_pred(e).len(), 3);
+        assert_eq!(inst.facts_with_pred(e), &[0, 1, 2]);
         // a1 occurs once in position 0 and once in position 1.
-        assert_eq!(inst.facts_with_pred_pos_const(e, 0, a1).len(), 1);
-        assert_eq!(inst.facts_with_pred_pos_const(e, 1, a1).len(), 1);
+        let rel = inst.columnar().relation(e).unwrap();
+        assert_eq!(rel.matching(0, a1).len(), 1);
+        assert_eq!(rel.matching(1, a1).len(), 1);
     }
 
     #[test]
@@ -386,20 +362,9 @@ mod tests {
     }
 
     #[test]
-    fn map_elements_collapses() {
-        let mut voc = Vocabulary::new();
-        let inst = chain(&mut voc, 2); // E(a0,a1), E(a1,a2)
-        let a0 = voc.find_const("a0").unwrap();
-        let img = inst.map_elements(&|_| a0);
-        assert_eq!(img.len(), 1); // both collapse to E(a0,a0)
-        assert_eq!(img.domain_size(), 1);
-    }
-
-    #[test]
     fn incremental_index_matches_rebuild() {
         let mut voc = Vocabulary::new();
         let inst = chain(&mut voc, 10);
-        assert_eq!(*inst.index(), FactIndex::rebuild(inst.facts()));
         assert_eq!(*inst.columnar(), ColumnarStore::rebuild(inst.facts()));
     }
 

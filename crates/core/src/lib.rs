@@ -6,8 +6,8 @@
 //!
 //! * interned symbols and the [`Vocabulary`] ([`symbols`]);
 //! * terms, atoms and facts ([`term`]);
-//! * indexed database instances ([`instance`]) over the access-path
-//!   structure of [`index`] and the columnar relations of [`columnar`];
+//! * indexed database instances ([`instance`]) over the columnar
+//!   relations of [`columnar`], their one by-predicate access path;
 //! * the batched hash-join kernel and planner ([`join`]) evaluating rule
 //!   bodies over whole binding frontiers;
 //! * the in-tree hasher ([`fxhash`]) and deterministic PRNG ([`prng`])
@@ -42,7 +42,6 @@ pub mod columnar;
 pub mod diag;
 pub mod fxhash;
 pub mod hom;
-pub mod index;
 pub mod join;
 pub mod instance;
 pub mod obs;
@@ -61,8 +60,7 @@ pub mod term;
 pub use columnar::ColumnarStore;
 pub use diag::{Diagnostic, LintReport, Severity};
 pub use hom::Binding;
-pub use index::{FactIdx, FactIndex};
-pub use instance::Instance;
+pub use instance::{FactIdx, Instance};
 pub use join::Priors;
 pub use parser::{parse_into, parse_program, parse_query, parse_rule, ParseError, Program};
 pub use query::{ConjunctiveQuery, Ucq};

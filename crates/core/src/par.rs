@@ -24,7 +24,8 @@
 //! ## Thread count
 //!
 //! [`num_threads`] reads `BDDFC_THREADS` (clamped to ≥ 1), defaulting to
-//! the machine's available parallelism capped at [`MAX_DEFAULT_THREADS`].
+//! the machine's available parallelism capped at [`MAX_DEFAULT_THREADS`];
+//! it resolves that setting once per process, on first use.
 //! [`with_thread_count`] overrides it for the current thread's dynamic
 //! extent — tests use it to pin 1/2/7-thread runs in-process. At one
 //! thread every entry point takes a guaranteed sequential path on the
@@ -63,6 +64,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread::LocalKey;
 
 /// Upper bound on the default thread count when `BDDFC_THREADS` is not
@@ -100,20 +102,31 @@ pub fn parse_threads(raw: &str) -> Result<usize, String> {
 /// the innermost [`with_thread_count`] override if one is active, else
 /// `BDDFC_THREADS` if set to a positive integer (unset or empty means
 /// auto), else the machine's available parallelism capped at
-/// [`MAX_DEFAULT_THREADS`].
+/// [`MAX_DEFAULT_THREADS`]. The environment and the machine are read on
+/// the first call only: `available_parallelism` reads the cgroup quota
+/// files, tens of microseconds that every region would otherwise pay.
 ///
 /// # Panics
 ///
 /// Panics on a non-numeric or zero `BDDFC_THREADS` value, naming it, so
 /// a typo fails loudly rather than silently selecting the default.
 pub fn num_threads() -> usize {
+    static CONFIGURED: OnceLock<Result<usize, String>> = OnceLock::new();
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n.max(1);
     }
+    match CONFIGURED.get_or_init(configured_threads) {
+        Ok(n) => *n,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// The process-wide thread count: `BDDFC_THREADS` if set and non-blank,
+/// else `auto_threads()`.
+fn configured_threads() -> Result<usize, String> {
     match std::env::var("BDDFC_THREADS") {
-        Ok(s) if s.trim().is_empty() => auto_threads(),
-        Ok(s) => parse_threads(&s).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => auto_threads(),
+        Ok(s) if !s.trim().is_empty() => parse_threads(&s),
+        _ => Ok(auto_threads()),
     }
 }
 

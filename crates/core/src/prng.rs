@@ -49,19 +49,6 @@ impl SplitMix64 {
         lo + self.below(hi - lo)
     }
 
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        // 53 bits of mantissa are plenty for test probabilities.
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        unit < p
-    }
-
     /// A fair coin flip.
     pub fn flip(&mut self) -> bool {
         self.next_u64() & 1 == 1
@@ -133,15 +120,6 @@ mod tests {
             let v = r.range(5, 8);
             assert!((5..8).contains(&v));
         }
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = SplitMix64::new(3);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
-        let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
-        assert!((1_500..3_500).contains(&hits), "p=0.25 gave {hits}/10000");
     }
 
     #[test]

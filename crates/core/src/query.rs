@@ -7,7 +7,7 @@
 //! ([`Ucq`]) appear as positive first-order rewritings (Definition 2).
 
 use crate::symbols::{ConstId, VarId, Vocabulary};
-use crate::term::{Atom, Fact, Term};
+use crate::term::{Atom, Term};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use std::fmt;
 
@@ -31,11 +31,6 @@ impl ConjunctiveQuery {
     /// Creates a conjunctive query with answer variables.
     pub fn with_free(atoms: Vec<Atom>, free: Vec<VarId>) -> Self {
         ConjunctiveQuery { atoms, free }
-    }
-
-    /// Is this a Boolean query?
-    pub fn is_boolean(&self) -> bool {
-        self.free.is_empty()
     }
 
     /// The set of all variables occurring in the query.
@@ -89,31 +84,6 @@ impl ConjunctiveQuery {
             map.insert(v, voc.fresh_var(&name));
         }
         self.rename(&map)
-    }
-
-    /// The *frozen* (canonical) instance of the query: each variable becomes
-    /// a fresh null. Returns the instance together with the freezing map.
-    ///
-    /// Used for homomorphic subsumption checks: `Q₁ ⊑ Q₂` iff `Q₂` maps
-    /// homomorphically into the frozen instance of `Q₁` (respecting free
-    /// variables).
-    pub fn freeze(&self, voc: &mut Vocabulary) -> (crate::Instance, FxHashMap<VarId, ConstId>) {
-        let mut map: FxHashMap<VarId, ConstId> = FxHashMap::default();
-        let mut inst = crate::Instance::new();
-        for atom in &self.atoms {
-            let mut args = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                match t {
-                    Term::Const(c) => args.push(*c),
-                    Term::Var(v) => {
-                        let c = *map.entry(*v).or_insert_with(|| voc.fresh_null("frz"));
-                        args.push(c);
-                    }
-                }
-            }
-            inst.insert(Fact::new(atom.pred, args));
-        }
-        (inst, map)
     }
 
     /// Renders the query using names from `voc`.
@@ -235,7 +205,6 @@ mod tests {
         let mut voc = Vocabulary::new();
         let (cq, _, x, _, _) = path_query(&mut voc);
         assert_eq!(cq.var_count(), 3);
-        assert!(cq.is_boolean());
         assert!(cq.existential_vars().contains(&x));
     }
 
@@ -246,26 +215,6 @@ mod tests {
         let cq2 = cq.rename_apart(&mut voc);
         assert!(cq.variables().is_disjoint(&cq2.variables()));
         assert_eq!(cq2.var_count(), 3);
-    }
-
-    #[test]
-    fn freeze_produces_canonical_instance() {
-        let mut voc = Vocabulary::new();
-        let (cq, _, _, y, _) = path_query(&mut voc);
-        let (inst, map) = cq.freeze(&mut voc);
-        assert_eq!(inst.len(), 2);
-        assert_eq!(inst.domain_size(), 3);
-        assert!(voc.is_null(map[&y]));
-    }
-
-    #[test]
-    fn freeze_shares_repeated_variables() {
-        let mut voc = Vocabulary::new();
-        let e = voc.pred("E", 2);
-        let x = voc.var("X");
-        let cq = ConjunctiveQuery::boolean(vec![Atom::new(e, vec![Term::Var(x), Term::Var(x)])]);
-        let (inst, _) = cq.freeze(&mut voc);
-        assert_eq!(inst.domain_size(), 1);
     }
 
     #[test]

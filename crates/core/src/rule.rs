@@ -122,15 +122,6 @@ impl Rule {
         self.head.len() == 1
     }
 
-    /// The single head atom.
-    ///
-    /// # Panics
-    /// Panics if the rule is multi-head.
-    pub fn head_atom(&self) -> &Atom {
-        assert!(self.is_single_head(), "rule is multi-head");
-        &self.head[0]
-    }
-
     /// The body viewed as a Boolean conjunctive query.
     pub fn body_query(&self) -> ConjunctiveQuery {
         ConjunctiveQuery::boolean(self.body.clone())
@@ -283,16 +274,6 @@ impl Theory {
             }
         }
         true
-    }
-
-    /// The maximal number of variables in any rule body (used to size the
-    /// type parameter `m` in conservativity arguments, cf. Remark 4).
-    pub fn max_body_vars(&self) -> usize {
-        self.rules
-            .iter()
-            .map(|r| r.body_query().var_count())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Renders the theory, one rule per line.
@@ -463,13 +444,6 @@ mod tests {
         assert_eq!(r2.body.len(), 3);
         assert!(r.body_vars().is_disjoint(&r2.body_vars()));
         assert_eq!(r2.kind(), RuleKind::ExistentialTgd);
-    }
-
-    #[test]
-    fn max_body_vars() {
-        let mut voc = Vocabulary::new();
-        let th = example1(&mut voc);
-        assert_eq!(th.max_body_vars(), 3);
     }
 
     #[test]

@@ -316,12 +316,6 @@ impl Vocabulary {
         (0..self.preds.len() as u32).map(|i| (PredId(i), self.arities[i as usize]))
     }
 
-    /// All named constants (elements of `C_con`).
-    pub fn named_constants(&self) -> impl Iterator<Item = ConstId> + '_ {
-        (0..self.consts.len() as u32)
-            .map(ConstId)
-            .filter(|c| !self.is_null(*c))
-    }
 }
 
 impl fmt::Display for PredId {
@@ -391,7 +385,6 @@ mod tests {
         assert!(voc.is_null(n));
         voc.name_element(n);
         assert!(!voc.is_null(n));
-        assert_eq!(voc.named_constants().filter(|&c| c == n).count(), 1);
     }
 
     #[test]

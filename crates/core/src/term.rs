@@ -82,11 +82,6 @@ impl Atom {
         self.args.iter().filter_map(|t| t.as_const())
     }
 
-    /// Is the atom ground (variable-free)?
-    pub fn is_ground(&self) -> bool {
-        self.args.iter().all(|t| !t.is_var())
-    }
-
     /// Converts a ground atom into a [`Fact`]. Returns `None` if any
     /// argument is a variable.
     pub fn to_fact(&self) -> Option<Fact> {
@@ -131,11 +126,6 @@ impl Fact {
     /// Creates a fact.
     pub fn new(pred: PredId, args: Vec<ConstId>) -> Self {
         Fact { pred, args }
-    }
-
-    /// Views the fact as an [`Atom`] over constant terms.
-    pub fn to_atom(&self) -> Atom {
-        Atom::new(self.pred, self.args.iter().map(|&c| Term::Const(c)).collect())
     }
 
     /// Renders the fact using names from `voc`.
@@ -210,7 +200,6 @@ mod tests {
         let atom = Atom::new(e, vec![Term::Const(a), Term::Const(a)]);
         let fact = atom.to_fact().unwrap();
         assert_eq!(fact.display(&voc).to_string(), "E(a,a)");
-        assert_eq!(fact.to_atom(), atom);
     }
 
     #[test]
@@ -218,7 +207,6 @@ mod tests {
         let (_, e, x, a) = setup();
         let atom = Atom::new(e, vec![Term::Var(x), Term::Const(a)]);
         assert!(atom.to_fact().is_none());
-        assert!(!atom.is_ground());
     }
 
     #[test]

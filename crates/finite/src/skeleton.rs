@@ -40,13 +40,6 @@ pub struct SkeletonReport {
     pub non_constant_elements: usize,
 }
 
-impl SkeletonReport {
-    /// Does the skeleton have the forest shape Lemma 3 promises?
-    pub fn is_forest(&self) -> bool {
-        self.acyclic && self.in_degree_le_1
-    }
-}
-
 /// Validates the Lemma 3 structure of a skeleton: the restriction to
 /// non-constant elements must be a forest (acyclic, in-degree ≤ 1) of
 /// degree bounded by `|Σ| + 1`.
@@ -170,7 +163,7 @@ mod tests {
         let res = chase(&prog.instance, &norm, &mut voc, ChaseConfig::rounds(6));
         let skel = skeleton(&res.instance, &prog.instance, &norm);
         let report = analyze_skeleton(&skel, &voc);
-        assert!(report.is_forest(), "{report:?}");
+        assert!(report.acyclic && report.in_degree_le_1, "{report:?}");
         assert!(report.max_degree <= voc.pred_count() + 1);
     }
 

@@ -18,6 +18,7 @@
 use crate::proptest_lite::Gen;
 use bddfc_core::prng::SplitMix64;
 use bddfc_core::{parse_program, Fact, Instance, Program, Vocabulary};
+use bddfc_zoo::random_linear_theory;
 
 /// The generator strata: one per recognized Datalog∃ class, plus the
 /// anything-goes stratum.
@@ -351,37 +352,6 @@ pub fn random_program(seed: u64) -> Program {
         instance.insert(Fact::new(p, vec![a, b]));
     }
     Program { voc, theory, instance, queries: vec![] }
-}
-
-/// A random *linear* Datalog∃ theory over `preds` binary predicates —
-/// the same construction as `bddfc_zoo::random_linear_theory`, inlined
-/// here so the fuzz crate does not depend on the zoo (the zoo's corpus
-/// is replay input, not a generator dependency).
-fn random_linear_theory(
-    voc: &mut Vocabulary,
-    preds: usize,
-    rules: usize,
-    seed: u64,
-) -> bddfc_core::Theory {
-    use bddfc_core::{Atom, Rule, Term, Theory};
-    let mut rng = SplitMix64::new(seed);
-    let ps: Vec<_> = (0..preds).map(|i| voc.pred(&format!("R{i}"), 2)).collect();
-    let x = voc.var("Xg");
-    let y = voc.var("Yg");
-    let z = voc.var("Zg");
-    let mut out = Vec::new();
-    for _ in 0..rules {
-        let pb = ps[rng.below(preds)];
-        let ph = ps[rng.below(preds)];
-        let body = vec![Atom::new(pb, vec![Term::Var(x), Term::Var(y)])];
-        let head = if rng.flip() {
-            Atom::new(ph, vec![Term::Var(y), Term::Var(z)])
-        } else {
-            Atom::new(ph, vec![Term::Var(y), Term::Var(x)])
-        };
-        out.push(Rule::single(body, head));
-    }
-    Theory::new(out)
 }
 
 /// A random Datalog∃ program as source text: 1–5 rules over a small fixed

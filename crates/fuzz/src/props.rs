@@ -13,7 +13,7 @@
 //! | `chase_restricted_embeds` | restricted chase embeds homomorphically into oblivious |
 //! | `chase_certainty_strategy_blind` | `certain_ucq` verdicts + depth `k` across strategies |
 //! | `chase_thread_invariance` | chase outputs + obs counters at `BDDFC_THREADS` ∈ {1,2,7} |
-//! | `join_kernel_vs_tuple_oracle` | join-kernel rows vs `hom` bindings per rule body (unpinned + pinned tails), plus `hom` model check of the chase fixpoint |
+//! | `join_kernel_vs_hom` | join-kernel rows vs `hom` bindings per rule body (unpinned + pinned tails), plus `hom` model check of the chase fixpoint |
 //! | `classes_witness_oracle` | witness-producing recognizers vs legacy boolean oracles |
 //! | `rewrite_vs_chase` | UCQ-rewriting certain answers vs chase certain answers |
 //! | `lint_stability` | linting is deterministic and panic-free |
@@ -166,9 +166,9 @@ pub static PROPS: &[Prop] = &[
         check: chase_thread_invariance,
     },
     Prop {
-        name: "join_kernel_vs_tuple_oracle",
+        name: "join_kernel_vs_hom",
         describe: "join-kernel body rows equal hom bindings, unpinned and pinned to delta tails",
-        check: join_kernel_vs_tuple_oracle,
+        check: join_kernel_vs_hom,
     },
     Prop {
         name: "classes_witness_oracle",
@@ -439,7 +439,7 @@ fn chase_thread_invariance(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> P
     Ok(())
 }
 
-/// `join_kernel_vs_tuple_oracle`: the batch join kernel agrees with the
+/// `join_kernel_vs_hom`: the batch join kernel agrees with the
 /// backtracking `hom` search at the kernel seam. The case is chased once;
 /// on the chased instance, for every rule body, the sorted multiset of
 /// [`join::eval_body`] rows (projected to the body variables) must equal
@@ -450,7 +450,7 @@ fn chase_thread_invariance(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> P
 /// by `hom`-based model checking, which keeps an end-to-end check that
 /// does not go through the kernel. The mutation runs on the kernel side:
 /// both the chase and the kernel evaluations use the mutated theory.
-fn join_kernel_vs_tuple_oracle(case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
+fn join_kernel_vs_hom(case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
     let mutated = ctx.mutation.apply(&prog.theory);
     let cfg = chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive);
     let res = chase(&prog.instance, &mutated, &mut prog.voc.clone(), cfg);

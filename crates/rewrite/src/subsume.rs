@@ -143,15 +143,6 @@ pub struct SubsumeStats {
     pub hom_checks: u64,
 }
 
-impl SubsumeStats {
-    /// Accumulates another batch of counts into `self`.
-    pub fn absorb(&mut self, other: SubsumeStats) {
-        self.pairs += other.pairs;
-        self.prefilter_rejects += other.prefilter_rejects;
-        self.hom_checks += other.hom_checks;
-    }
-}
-
 /// Inserts `cq` into a set of pairwise-incomparable disjuncts: drops it if
 /// subsumed by an existing disjunct, else removes disjuncts it subsumes
 /// and appends it. Returns `true` if the query was inserted.

@@ -44,11 +44,6 @@ impl LossyWriter {
         LossyWriter { writer: Mutex::new(writer), failures: Arc::new(AtomicU64::new(0)) }
     }
 
-    /// A shared handle to the failure counter.
-    pub fn failures_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.failures)
-    }
-
     /// Total write attempts that failed (each counted once, whether the
     /// write or the flush failed).
     pub fn failures(&self) -> u64 {

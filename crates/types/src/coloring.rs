@@ -38,11 +38,6 @@ pub struct Coloring {
 }
 
 impl Coloring {
-    /// The color predicates (the `Σ̄ ∖ Σ` part of the colored signature).
-    pub fn color_preds(&self) -> FxHashSet<PredId> {
-        self.pred_of.values().copied().collect()
-    }
-
     /// Produces `C̄`: the instance extended with one color atom per
     /// element (Definition 7).
     pub fn apply(&self, inst: &Instance) -> Instance {

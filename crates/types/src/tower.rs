@@ -11,7 +11,7 @@
 
 use crate::analyzer::TypeAnalyzer;
 use crate::quotient::Quotient;
-use bddfc_core::{hom, Binding, ConjunctiveQuery, ConstId, Instance, Vocabulary};
+use bddfc_core::{ConjunctiveQuery, ConstId, Instance, Vocabulary};
 use bddfc_core::fxhash::FxHashMap;
 
 /// A finite segment `M_lo(C̄), …, M_hi(C̄)` of the quotient tower.
@@ -59,29 +59,6 @@ impl QuotientTower {
         }
         true
     }
-
-    /// Remark 2's monotonicity for a pointed query: if
-    /// `Mₙ(C̄) ⊨ ∃x̄ Ψ(x̄, qₙ(e))` then `Mₙ′(C̄) ⊨ ∃x̄ Ψ(x̄, qₙ′(e))` for
-    /// every `n′ < n` in the segment. Returns the per-level truth values
-    /// `(n, holds)` — the caller can check they are downward closed.
-    pub fn pointed_query_profile(
-        &self,
-        query: &ConjunctiveQuery,
-        free_var: bddfc_core::VarId,
-        e: ConstId,
-    ) -> Vec<(usize, bool)> {
-        self.levels
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let n = self.lo + i;
-                let mut init = Binding::default();
-                init.insert(free_var, q.project(e));
-                let holds = hom::hom_exists(&q.instance, &query.atoms, &init);
-                (n, holds)
-            })
-            .collect()
-    }
 }
 
 /// Checks Remark 2's downward closure for a profile: once false at some
@@ -108,7 +85,29 @@ pub fn pointed_query(atoms: Vec<bddfc_core::Atom>, y: bddfc_core::VarId) -> Conj
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bddfc_core::{Atom, Fact, Term};
+    use bddfc_core::{hom, Atom, Binding, Fact, Term};
+
+    /// Remark 2's monotonicity for a pointed query: if
+    /// `Mₙ(C̄) ⊨ ∃x̄ Ψ(x̄, qₙ(e))` then `Mₙ′(C̄) ⊨ ∃x̄ Ψ(x̄, qₙ′(e))` for
+    /// every `n′ < n` in the segment. Returns the per-level truth values
+    /// `(n, holds)`, to be checked with [`is_downward_closed`].
+    fn pointed_query_profile(
+        tower: &QuotientTower,
+        query: &ConjunctiveQuery,
+        free_var: bddfc_core::VarId,
+        e: ConstId,
+    ) -> Vec<(usize, bool)> {
+        tower
+            .levels
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                let mut init = Binding::default();
+                init.insert(free_var, q.project(e));
+                (tower.lo + i, hom::hom_exists(&q.instance, &query.atoms, &init))
+            })
+            .collect()
+    }
 
     fn chain(voc: &mut Vocabulary, len: usize) -> (Instance, Vec<ConstId>) {
         let e = voc.pred("E", 2);
@@ -150,7 +149,7 @@ mod tests {
         );
         let tower = QuotientTower::build(&inst, &mut voc, 2, 5);
         for &el in &elems {
-            let profile = tower.pointed_query_profile(&q, y, el);
+            let profile = pointed_query_profile(&tower, &q, y, el);
             assert!(is_downward_closed(&profile), "element {el:?}: {profile:?}");
         }
     }
@@ -168,7 +167,7 @@ mod tests {
         let tower = QuotientTower::build(&inst, &mut voc, 2, 6);
         // Element a3: at n = 2 it is merged into the looped interior; at
         // n = 5 its in-path length 3 < 4 separates it from the loop class.
-        let profile = tower.pointed_query_profile(&q, y, elems[3]);
+        let profile = pointed_query_profile(&tower, &q, y, elems[3]);
         assert!(is_downward_closed(&profile), "{profile:?}");
         assert!(profile.first().unwrap().1, "phantom loop at n = 2");
         assert!(!profile.last().unwrap().1, "resolved at n = 6");
