@@ -23,6 +23,9 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release --manifest-path benchmark/Cargo.toml (the benchmark builds and agrees with the library)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo doc --no-deps --workspace (no broken intra-doc links)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
 

@@ -937,7 +937,7 @@ fn apply_repairs(
                 // Only the traced path (incremental maintenance) pays for
                 // the Fact materialization; the hot path passes `None`.
                 if let Some(out) = record.as_deref_mut() {
-                    out.push((Fact::new(*pred, args.clone()), repair_idx));
+                    out.push((Fact { pred: *pred, args: args.as_slice().into() }, repair_idx));
                 }
             }
         }

@@ -61,9 +61,13 @@
 //!
 //! The resident instance is held behind an `Arc`
 //! ([`IncrementalChase::shared_instance`]), so a service can publish it
-//! without a copy. A retraction builds a fresh survivor instance and
-//! copies nothing; an insertion copies the instance once if a published
-//! snapshot still shares it.
+//! without a copy. A mutation copies the instance once if a published
+//! snapshot still shares it; the copy is a few buffer memcpys, not an
+//! allocation per fact (see [`bddfc_core::instance`]). A retraction then
+//! removes the deleted facts in place ([`Instance::remove`]), so its
+//! cost follows the deleted facts and whatever was inserted after the
+//! earliest of them, not the instance size. The base list is trimmed
+//! the same way, from its end.
 //!
 //! The maintained invariant, restored after every mutation: **every
 //! resident fact is a base fact or carries a recorded derivation whose
@@ -360,7 +364,17 @@ impl IncrementalChase {
         if retracted == 0 {
             return self.outcome(0);
         }
-        self.base.retain(|f| self.base_set.contains(f));
+        // `base` is in first-insertion order and retractions mostly hit
+        // recent inserts: find the earliest retracted fact scanning back
+        // from the end, and rewrite only the suffix from there.
+        let mut from = self.base.len();
+        let mut left = retracted;
+        while left > 0 {
+            from -= 1;
+            left -= usize::from(!self.base_set.contains(&self.base[from]));
+        }
+        let suffix = self.base.split_off(from);
+        self.base.extend(suffix.into_iter().filter(|f| self.base_set.contains(f)));
         let seed_count = deleted.len();
 
         // Over-delete: walk the dependency cone of the seeds through the
@@ -381,20 +395,13 @@ impl IncrementalChase {
         }
         let overdeleted = deleted.len() - seed_count;
 
-        // Rebuild the survivor instance (the store is append-only, so
-        // deletion is reconstruction), preserving insertion order. The
-        // unprocessed suffix maps onto the survivors' suffix.
-        let mut survivors = Instance::new();
-        let mut delta_start = 0;
-        for (i, f) in self.instance.facts().iter().enumerate() {
-            if !deleted.contains(f) {
-                delta_start += usize::from(i < self.delta_start);
-                survivors.insert(f.clone());
-            }
-        }
-        let rederive_from = survivors.len();
-        self.instance = Arc::new(survivors);
-        self.delta_start = delta_start;
+        // Remove the deleted facts in place, preserving insertion order
+        // (a copy-on-write copy first if an epoch still shares the
+        // instance). The unprocessed suffix maps onto the survivors'
+        // suffix.
+        let removed = self.instance_mut().remove(&deleted);
+        self.delta_start -= removed.partition_point(|&i| i < self.delta_start);
+        let rederive_from = self.instance.len();
 
         // Re-derive: one seeded round enumerates the triggers whose head
         // unifies with a deleted fact, plus the pending delta (see the
@@ -595,6 +602,9 @@ mod tests {
         assert!(out.complete);
         assert_eq!(out.retracted, 1);
         assert!(out.overdeleted >= 2, "E(a,c) and E(b,d) must be over-deleted");
+        let facts = prog.instance.facts();
+        let kept = [facts[0].clone(), facts[2].clone(), facts[3].clone()];
+        assert_eq!(inc.base(), &kept[..], "a mid-list retraction keeps base order");
         let mut base = Instance::new();
         for f in inc.base() {
             base.insert(f.clone());

@@ -12,7 +12,7 @@
 //! columnar `(position, element)` postings of the atom's predicate), which
 //! keeps the join tree narrow without any query planning machinery.
 
-use crate::columnar::Relation;
+use crate::columnar::{Matching, Relation};
 use crate::fxhash::FxHashMap;
 use crate::instance::Instance;
 use crate::query::{ConjunctiveQuery, Ucq};
@@ -27,7 +27,7 @@ pub type Binding = FxHashMap<VarId, ConstId>;
 /// either a posting list of row numbers, or the full row range.
 enum Cand<'i> {
     /// Row numbers from the tightest `(position, element)` posting list.
-    Rows(&'i [u32]),
+    Rows(Matching<'i>),
     /// No position is bound: every row of the relation, in order.
     All(usize),
 }
@@ -43,7 +43,7 @@ impl Cand<'_> {
     fn for_each(&self, mut f: impl FnMut(usize) -> ControlFlow<()>) -> ControlFlow<()> {
         match self {
             Cand::Rows(rows) => {
-                for &r in *rows {
+                for r in rows.iter() {
                     f(r as usize)?;
                 }
             }
@@ -63,12 +63,12 @@ impl Cand<'_> {
 /// relation. Row order is insertion order either way.
 fn candidates<'i>(inst: &'i Instance, atom: &Atom, binding: &Binding) -> Cand<'i> {
     let Some(rel) = inst.columnar().relation(atom.pred) else {
-        return Cand::Rows(&[]);
+        return Cand::All(0);
     };
     if rel.arity() != atom.args.len() {
-        return Cand::Rows(&[]);
+        return Cand::All(0);
     }
-    let mut best: Option<&[u32]> = None;
+    let mut best: Option<Matching<'i>> = None;
     for (pos, term) in atom.args.iter().enumerate() {
         let bound = match term {
             Term::Const(c) => Some(*c),

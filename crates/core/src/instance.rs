@@ -11,8 +11,29 @@
 //! The by-element access paths (active domain, element posting lists)
 //! live off the chase hot path: they are built lazily on first use and
 //! invalidated by the next insert.
+//!
+//! ## Storage and copies
+//!
+//! Every part of an instance is a flat buffer of `Copy` data: facts keep
+//! short argument lists inline (see [`crate::term::Args`]), the
+//! content-hash table maps hashes to indexes, and a relation is a few
+//! columns plus a CSR posting table. Cloning an instance is therefore a
+//! fixed number of buffer copies, and dropping one a fixed number of
+//! frees, however many facts it holds: the copy-on-write step of a
+//! service write and the release of a superseded snapshot cost memcpys,
+//! not an allocation per fact or per posting list.
+//!
+//! ## In-place removal
+//!
+//! [`Instance::remove`] deletes facts without a rebuild. It compacts the
+//! fact vector, the content-hash table and every touched relation from
+//! the first removed index on, keeping insertion order, so the result
+//! equals an instance rebuilt from the survivors in order. Work is
+//! proportional to the facts stored from the earliest removed one on: a
+//! retraction of recently inserted facts costs their number, not the
+//! instance's size.
 
-use crate::columnar::ColumnarStore;
+use crate::columnar::{ColumnarStore, REMOVED};
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::symbols::{ConstId, PredId, Vocabulary};
 use crate::term::Fact;
@@ -93,7 +114,7 @@ impl Instance {
         if self.lookup(hash, pred, args).is_some() {
             return false;
         }
-        self.insert_new(hash, Fact::new(pred, args.to_vec()));
+        self.insert_new(hash, Fact { pred, args: args.into() });
         true
     }
 
@@ -136,6 +157,81 @@ impl Instance {
         self.columnar.push(idx, &fact);
         self.elems.take();
         self.facts.push(fact);
+    }
+
+    /// Removes the given facts in place (absent ones are skipped),
+    /// keeping the survivors' insertion order, and returns the removed
+    /// facts' former indexes, ascending. The result equals the instance
+    /// rebuilt by inserting the survivors in order: the same fact
+    /// indexes, duplicate table, columns and postings. Costs time
+    /// proportional to the facts stored from the earliest removed one on
+    /// (see the module docs).
+    pub fn remove<'a>(&mut self, facts: impl IntoIterator<Item = &'a Fact>) -> Vec<FactIdx> {
+        let mut gone: Vec<FactIdx> = facts
+            .into_iter()
+            .filter_map(|f| self.lookup(fact_hash(f.pred, &f.args), f.pred, &f.args))
+            .collect();
+        gone.sort_unstable();
+        gone.dedup();
+        let Some(&first) = gone.first() else { return gone };
+        // The new index of every fact from `first` on.
+        let mut remap = Vec::with_capacity(self.facts.len() - first);
+        let mut victims = gone.iter().peekable();
+        let mut next = first;
+        for i in first..self.facts.len() {
+            if victims.next_if_eq(&&i).is_some() {
+                remap.push(REMOVED);
+            } else {
+                remap.push(next);
+                next += 1;
+            }
+        }
+        // Owners of a duplicate-table slot move down with their fact; a
+        // removed owner frees its slot.
+        let mut orphaned: Vec<u64> = Vec::new();
+        for (i, &to) in (first..).zip(&remap) {
+            let f = &self.facts[i];
+            let hash = fact_hash(f.pred, &f.args);
+            if let Some(slot) = self.by_hash.get_mut(&hash).filter(|slot| **slot == i) {
+                if to == REMOVED {
+                    self.by_hash.remove(&hash);
+                    orphaned.push(hash);
+                } else {
+                    *slot = to;
+                }
+            }
+        }
+        let mut w = first;
+        for (i, &to) in (first..).zip(&remap) {
+            if to != REMOVED {
+                self.facts.swap(w, i);
+                w += 1;
+            }
+        }
+        self.facts.truncate(w);
+        if !self.collisions.is_empty() {
+            self.collisions.retain_mut(|i| {
+                if *i >= first {
+                    *i = remap[*i - first];
+                }
+                *i != REMOVED
+            });
+            // A freed slot passes to the earliest surviving fact spilled
+            // under the same hash, the one a rebuild would make owner.
+            for hash in orphaned {
+                let facts = &self.facts;
+                let heir = self
+                    .collisions
+                    .iter()
+                    .position(|&i| fact_hash(facts[i].pred, &facts[i].args) == hash);
+                if let Some(k) = heir {
+                    self.by_hash.insert(hash, self.collisions.remove(k));
+                }
+            }
+        }
+        self.columnar.remove(first, &remap);
+        self.elems.take();
+        gone
     }
 
     /// The by-element access paths, built on first use after an insert.
@@ -302,6 +398,7 @@ impl fmt::Display for DisplayInstance<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prng::SplitMix64;
 
     fn chain(voc: &mut Vocabulary, n: usize) -> Instance {
         let e = voc.pred("E", 2);
@@ -366,6 +463,126 @@ mod tests {
         let mut voc = Vocabulary::new();
         let inst = chain(&mut voc, 10);
         assert_eq!(*inst.columnar(), ColumnarStore::rebuild(inst.facts()));
+    }
+
+    /// A seeded soup of facts over three predicates and eight elements
+    /// (with duplicates, which the instance absorbs).
+    fn soup(voc: &mut Vocabulary, n: usize, seed: u64) -> Vec<Fact> {
+        let mut rng = SplitMix64::new(seed);
+        let e = voc.pred("E", 2);
+        let u = voc.pred("U", 1);
+        let t = voc.pred("T", 3);
+        let elems: Vec<ConstId> = (0..8).map(|i| voc.constant(&format!("c{i}"))).collect();
+        let mut pick = |k: usize| (0..k).map(|_| *rng.pick(&elems)).collect::<Vec<_>>();
+        (0..n).map(|i| Fact::new([e, u, t][i % 3], pick([2, 1, 3][i % 3]))).collect()
+    }
+
+    /// Asserts that `inst` equals `rebuilt` part by part: facts in
+    /// order, duplicate table, columns, per-predicate ids and postings.
+    fn assert_same_store(inst: &Instance, rebuilt: &Instance, voc: &Vocabulary) {
+        assert_eq!(inst.facts(), rebuilt.facts());
+        assert_eq!(inst.by_hash, rebuilt.by_hash);
+        assert_eq!(inst.collisions, rebuilt.collisions);
+        assert_eq!(inst.columnar(), rebuilt.columnar());
+        for (p, _) in voc.preds() {
+            assert_eq!(inst.facts_with_pred(p), rebuilt.facts_with_pred(p));
+            let Some(rel) = inst.columnar().relation(p) else { continue };
+            let oracle = rebuilt.columnar().relation(p).unwrap();
+            for pos in 0..rel.arity() {
+                for c in (0..8).filter_map(|i| voc.find_const(&format!("c{i}"))) {
+                    let got: Vec<u32> = rel.matching(pos, c).iter().collect();
+                    assert_eq!(got, oracle.matching(pos, c).iter().collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remove_equals_a_rebuild_of_the_survivors() {
+        for seed in 1..=6 {
+            let mut voc = Vocabulary::new();
+            let facts = soup(&mut voc, 400, seed);
+            let mut rng = SplitMix64::new(seed);
+            for prefix in [0, 1, 40, 150, 400] {
+                let before: Instance = facts[..prefix].iter().cloned().collect();
+                let stored = before.facts();
+                // Victims: a tail, a scattered sample, or everything.
+                let victims: Vec<Fact> = match rng.below(3) {
+                    0 => stored[stored.len().saturating_sub(1 + rng.below(5))..].to_vec(),
+                    1 => stored.iter().filter(|_| rng.below(4) == 0).cloned().collect(),
+                    _ => stored.to_vec(),
+                };
+                let mut inst = before.clone();
+                // Build every relation's postings, with a tail on some,
+                // so removal meets sealed tables to keep or drop.
+                for p in inst.used_preds() {
+                    let c = inst.columnar().relation(p).unwrap().get(0, 0);
+                    inst.columnar().relation(p).unwrap().matching(0, c);
+                }
+                for f in facts[prefix..].iter().take(rng.below(8)) {
+                    inst.insert(f.clone());
+                }
+                let grown = inst.facts().to_vec();
+                let gone = inst.remove(&victims);
+                let expect_gone: Vec<FactIdx> =
+                    (0..grown.len()).filter(|&i| victims.contains(&grown[i])).collect();
+                assert_eq!(gone, expect_gone, "seed {seed} prefix {prefix}");
+                let survivors: Vec<Fact> =
+                    grown.iter().filter(|f| !victims.contains(f)).cloned().collect();
+                let rebuilt: Instance = survivors.iter().cloned().collect();
+                assert_same_store(&inst, &rebuilt, &voc);
+                for f in &grown {
+                    assert_eq!(inst.contains(f), !victims.contains(f));
+                }
+                assert_eq!(inst.sorted_domain(), rebuilt.sorted_domain());
+                // The store stays usable: re-inserting the victims appends
+                // them as a rebuild would.
+                let mut again = inst;
+                let mut rebuilt_again = rebuilt;
+                for f in &victims {
+                    assert_eq!(again.insert(f.clone()), rebuilt_again.insert(f.clone()));
+                }
+                assert_same_store(&again, &rebuilt_again, &voc);
+            }
+        }
+    }
+
+    /// Two distinct binary facts over `PredId(0)` with equal
+    /// [`fact_hash`]es. The hasher folds a word in as `h = (h.rotl(26) ^
+    /// w) * K` from `h = 0`, and a `u32` word reaches only the low half of
+    /// `h.rotl(26)`. After first arguments `a` and `a + D` the states
+    /// `a·K` and `(a + D)·K` differ by `D·K ≡ -40 (mod 2^38)`, so with
+    /// `a·K mod 64 >= 40` they agree on bits 6..38, the high half after
+    /// the rotation; the second arguments then cancel the low halves.
+    fn colliding_pair() -> (Fact, Fact) {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        const D: u32 = 257_293_944;
+        let a = 2; // 2·K ≡ 42 (mod 64)
+        let low = |x: u32| u64::from(x).wrapping_mul(K).rotate_left(26) as u32;
+        let f = Fact::new(PredId(0), vec![ConstId(a), ConstId(0)]);
+        let g = Fact::new(PredId(0), vec![ConstId(a + D), ConstId(low(a) ^ low(a + D))]);
+        (f, g)
+    }
+
+    #[test]
+    fn removing_a_colliding_owner_hands_its_slot_on() {
+        let (f, g) = colliding_pair();
+        assert_ne!(f, g);
+        assert_eq!(fact_hash(f.pred, &f.args), fact_hash(g.pred, &g.args));
+        let mut voc = Vocabulary::new();
+        voc.pred("E", 2);
+        let other = |a| Fact::new(PredId(0), vec![ConstId(a), ConstId(a)]);
+        let all = [other(1), f.clone(), other(2), g.clone(), other(3)];
+        for victim in [&f, &g] {
+            let mut inst: Instance = all.iter().cloned().collect();
+            assert_eq!(inst.collisions, vec![3], "the later fact spills");
+            assert_eq!(inst.remove([victim]), vec![if victim == &f { 1 } else { 3 }]);
+            let rebuilt: Instance = all.iter().filter(|h| *h != victim).cloned().collect();
+            assert_same_store(&inst, &rebuilt, &voc);
+            assert!(inst.collisions.is_empty());
+            assert!(!inst.contains(victim));
+            assert!(all.iter().filter(|h| *h != victim).all(|h| inst.contains(h)));
+        }
     }
 
     #[test]

@@ -396,9 +396,7 @@ pub fn join_atom(
                 .map(|&(pos, slot)| rel.matching(pos, batch.get(r, slot)))
                 .min_by_key(|l| l.len())
                 .expect("at least one key position");
-            let lo = list.partition_point(|&t| (t as usize) < range.start);
-            let hi = list.partition_point(|&t| (t as usize) < range.end);
-            for &t in &list[lo..hi] {
+            for t in list.within(range.clone()) {
                 probed += 1;
                 let t_us = t as usize;
                 if row_passes(rel, t_us, &s)

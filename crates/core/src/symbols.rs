@@ -154,6 +154,8 @@ pub struct Vocabulary {
     is_null: Vec<bool>,
     vars: Interner,
     fresh_counter: u64,
+    /// Changes made so far (see [`Vocabulary::version`]).
+    version: u64,
 }
 
 impl Vocabulary {
@@ -176,6 +178,7 @@ impl Vocabulary {
         let (id, new) = self.preds.intern(name);
         if new {
             self.arities.push(arity);
+            self.version += 1;
         } else {
             assert_eq!(
                 self.arities[id as usize], arity,
@@ -196,6 +199,7 @@ impl Vocabulary {
         let (id, new) = self.consts.intern(name);
         if new {
             self.is_null.push(false);
+            self.version += 1;
         }
         ConstId(id)
     }
@@ -213,6 +217,7 @@ impl Vocabulary {
     /// of every fired trigger), so the candidate name is formatted into a
     /// stack buffer; the single heap allocation is the interned copy.
     pub fn fresh_null(&mut self, prefix: &str) -> ConstId {
+        self.version += 1;
         let mut buf = [0u8; 48];
         loop {
             let n = self.fresh_counter;
@@ -239,7 +244,9 @@ impl Vocabulary {
     /// element of D" so that database elements keep distinct positive types
     /// (Remark 1); this is the operation implementing that extension.
     pub fn name_element(&mut self, c: ConstId) {
-        self.is_null[c.index()] = false;
+        if std::mem::replace(&mut self.is_null[c.index()], false) {
+            self.version += 1;
+        }
     }
 
     /// Is this element a labelled null (not the interpretation of any
@@ -250,11 +257,14 @@ impl Vocabulary {
 
     /// Interns a variable.
     pub fn var(&mut self, name: &str) -> VarId {
-        VarId(self.vars.intern(name).0)
+        let (id, new) = self.vars.intern(name);
+        self.version += u64::from(new);
+        VarId(id)
     }
 
     /// Creates a fresh variable guaranteed distinct from all interned ones.
     pub fn fresh_var(&mut self, prefix: &str) -> VarId {
+        self.version += 1;
         loop {
             let name = format!("{prefix}#{}", self.fresh_counter);
             self.fresh_counter += 1;
@@ -267,6 +277,7 @@ impl Vocabulary {
 
     /// Creates a fresh predicate with a generated, non-colliding name.
     pub fn fresh_pred(&mut self, prefix: &str, arity: usize) -> PredId {
+        self.version += 1;
         loop {
             let name = format!("{prefix}#{}", self.fresh_counter);
             self.fresh_counter += 1;
@@ -309,6 +320,15 @@ impl Vocabulary {
     /// Number of interned variables.
     pub fn var_count(&self) -> usize {
         self.vars.len()
+    }
+
+    /// How many changes this vocabulary has seen: every call that
+    /// interns a name, creates a fresh symbol or renames a null counts
+    /// one, and a lookup of a known name none. A clone carries its
+    /// original's count, so a vocabulary whose version still equals that
+    /// of a clone taken from it earlier still equals the clone.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// All interned predicates with their arities.

@@ -1,7 +1,11 @@
 //! Terms and atoms: the syntactic building blocks of queries and rules.
 
 use crate::symbols::{ConstId, PredId, VarId, Vocabulary};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A term appearing in a rule or query atom: a variable or a constant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -113,19 +117,126 @@ impl Atom {
     }
 }
 
+/// Argument lists up to this length are stored inline in [`Args`].
+const INLINE_ARGS: usize = 4;
+
+/// The argument elements of a [`Fact`]: an immutable `[ConstId]` that
+/// clones and drops without touching the heap allocator. Up to
+/// four elements live inline; longer lists share one reference-counted
+/// slice. Equality, order, hashing and `Debug` are the slice's, so an
+/// `Args` behaves exactly like the `Vec<ConstId>` it stands for (hash-map
+/// iteration orders over facts included).
+#[derive(Clone)]
+pub struct Args(ArgsRepr);
+
+#[derive(Clone)]
+enum ArgsRepr {
+    Inline { len: u8, buf: [ConstId; INLINE_ARGS] },
+    Shared(Arc<[ConstId]>),
+}
+
+impl Deref for Args {
+    type Target = [ConstId];
+
+    #[inline]
+    fn deref(&self) -> &[ConstId] {
+        match &self.0 {
+            ArgsRepr::Inline { len, buf } => &buf[..usize::from(*len)],
+            ArgsRepr::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&[ConstId]> for Args {
+    fn from(s: &[ConstId]) -> Self {
+        if s.len() <= INLINE_ARGS {
+            let mut buf = [ConstId(0); INLINE_ARGS];
+            buf[..s.len()].copy_from_slice(s);
+            Args(ArgsRepr::Inline { len: s.len() as u8, buf })
+        } else {
+            Args(ArgsRepr::Shared(s.into()))
+        }
+    }
+}
+
+impl From<Vec<ConstId>> for Args {
+    fn from(v: Vec<ConstId>) -> Self {
+        Args::from(v.as_slice())
+    }
+}
+
+impl<'a> IntoIterator for &'a Args {
+    type Item = &'a ConstId;
+    type IntoIter = std::slice::Iter<'a, ConstId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Args) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Args {}
+
+impl PartialEq<[ConstId]> for Args {
+    fn eq(&self, other: &[ConstId]) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<&[ConstId]> for Args {
+    fn eq(&self, other: &&[ConstId]) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<ConstId>> for Args {
+    fn eq(&self, other: &Vec<ConstId>) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialOrd for Args {
+    fn partial_cmp(&self, other: &Args) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Args {
+    fn cmp(&self, other: &Args) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for Args {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Args {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A ground atom `R(c₁, …, cₖ)`: the unit of storage in an [`crate::Instance`].
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Fact {
     /// The relation symbol.
     pub pred: PredId,
     /// The argument elements.
-    pub args: Vec<ConstId>,
+    pub args: Args,
 }
 
 impl Fact {
     /// Creates a fact.
     pub fn new(pred: PredId, args: Vec<ConstId>) -> Self {
-        Fact { pred, args }
+        Fact { pred, args: args.into() }
     }
 
     /// Renders the fact using names from `voc`.
@@ -216,6 +327,33 @@ mod tests {
         let atom = Atom::new(e, vec![Term::Var(x), Term::Var(y)]);
         let out = atom.apply(&|v| (v == x).then_some(Term::Const(a)));
         assert_eq!(out.args, vec![Term::Const(a), Term::Var(y)]);
+    }
+
+    /// `Args` stands in for `Vec<ConstId>` exactly: same hash (so hash-map
+    /// iteration orders over facts do not move), order, equality and
+    /// `Debug`, inline and shared alike.
+    #[test]
+    fn args_behave_like_the_vec_they_replace() {
+        use crate::fxhash::FxHasher;
+        let hash = |x: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            x(&mut h);
+            h.finish()
+        };
+        let vecs: Vec<Vec<ConstId>> = (0..8)
+            .flat_map(|n| [(0..n).map(ConstId).collect(), vec![ConstId(7); n as usize]])
+            .collect();
+        for v in &vecs {
+            let a = Args::from(v.clone());
+            assert_eq!(&*a, v.as_slice());
+            assert_eq!(a, *v);
+            assert_eq!(hash(&|h| a.hash(h)), hash(&|h| v.hash(h)));
+            assert_eq!(format!("{a:?}"), format!("{v:?}"));
+            assert_eq!(a.clone().iter().collect::<Vec<_>>(), v.iter().collect::<Vec<_>>());
+            for w in &vecs {
+                assert_eq!(a.cmp(&Args::from(w.as_slice())), v.cmp(w));
+            }
+        }
     }
 
     #[test]

@@ -10,11 +10,18 @@
 //! never a torn instance, because an [`Epoch`]'s instance is immutable
 //! from the moment it is published.
 //!
+//! Publishing is cheap on both ends. An epoch shares the writer's
+//! instance and vocabulary through `Arc`s: the next mutation copies the
+//! instance (a few buffer memcpys, see [`bddfc_core::instance`]) only
+//! because the epoch still holds it, and a commit whose write interned
+//! no new name republishes the previous epoch's vocabulary as is. The
+//! replaced epoch is freed after the publication lock is released.
+//!
 //! The sealed state also records its *segment boundaries*: each
 //! successful insert commit seals the facts it appended as one more
-//! segment (the fact store is append-only, so a segment is a contiguous
-//! fact range and `segments` is a cumulative-length vector). A
-//! retraction rebuilds the store and reseals it as a single segment.
+//! segment (inserts append, so a segment is a contiguous fact range and
+//! `segments` is a cumulative-length vector). A retraction removes facts
+//! from the middle of the store, so it reseals it as a single segment.
 //! Readers can use the boundaries to attribute facts to commits; the
 //! `stats` protocol command reports the segment count.
 
@@ -79,9 +86,15 @@ impl EpochStore {
 
     /// Publishes `epoch` as the new current state. Called only by the
     /// writer, after the working state is fully closed — readers never
-    /// see intermediate rounds.
+    /// see intermediate rounds. The replaced epoch is released after the
+    /// write lock is, so a reader's [`EpochStore::snapshot`] never waits
+    /// on freeing it.
     pub fn publish(&self, epoch: Epoch) {
-        *self.current.write().expect("epoch lock poisoned") = Arc::new(epoch);
+        let replaced = std::mem::replace(
+            &mut *self.current.write().expect("epoch lock poisoned"),
+            Arc::new(epoch),
+        );
+        drop(replaced);
     }
 }
 

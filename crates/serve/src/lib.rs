@@ -355,9 +355,18 @@ impl<'s, S: EventSink> Server<'s, S> {
     /// epoch's counters.
     fn commit(&self, w: &mut Writer) {
         w.epoch_id += 1;
+        // The writer is the only publisher, so the current epoch's
+        // vocabulary is a clone of `w.voc`: reuse it if nothing was
+        // interned since.
+        let published = self.epochs.snapshot().voc.clone();
+        let voc = if published.version() == w.voc.version() {
+            published
+        } else {
+            Arc::new(w.voc.clone())
+        };
         let epoch = Epoch {
             id: w.epoch_id,
-            voc: Arc::new(w.voc.clone()),
+            voc,
             instance: w.inc.shared_instance(),
             segments: Arc::new(w.segments.clone()),
             complete: w.inc.complete(),
@@ -873,7 +882,7 @@ mod tests {
         transcript(&server, "retract E(a,b).");
         let retracted = server.snapshot();
         let (inst, after_retract) = writer(&server);
-        assert_eq!(after_retract, after_insert, "a retract builds its survivors, copying nothing");
+        assert_eq!(after_retract, after_insert + 1, "a retract copies the shared instance once");
         assert!(Arc::ptr_eq(&retracted.instance, &inst));
 
         // Pins taken before each mutation still read their own facts.
@@ -881,6 +890,26 @@ mod tests {
         assert_eq!(inserted.instance.facts(), &inserted_facts[..]);
         assert!(inserted_facts.len() > pinned_facts.len());
         assert!(retracted.instance.len() < inserted_facts.len());
+    }
+
+    #[test]
+    fn commits_reuse_the_vocabulary_unless_a_write_interns() {
+        let prog = tc_program();
+        let server = Server::new(&prog, ServeConfig::default());
+        let loaded = server.snapshot();
+        transcript(&server, "insert E(c,a).");
+        let known = server.snapshot();
+        assert_eq!(known.id, loaded.id + 1);
+        assert!(Arc::ptr_eq(&loaded.voc, &known.voc), "known names: the vocabulary is shared");
+        transcript(&server, "retract E(c,a).");
+        assert!(Arc::ptr_eq(&known.voc, &server.snapshot().voc));
+
+        transcript(&server, "insert E(c,zed).");
+        let fresh = server.snapshot();
+        assert!(!Arc::ptr_eq(&known.voc, &fresh.voc), "a new name: a new vocabulary");
+        assert!(known.voc.find_const("zed").is_none());
+        assert!(fresh.voc.find_const("zed").is_some());
+        assert_eq!(transcript(&server, "query E(a,zed)"), "true\n");
     }
 
     #[test]
