@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# The repository's CI gate: build, test, telemetry self-check, perf
-# regression diff against the committed baselines, and lint the zoo
-# corpus. Everything here is hermetic (no network, no extra tools
-# beyond cargo + coreutils) and leaves the tree exactly as it found it.
+# The repository's CI gate: build, test, telemetry self-check, the
+# in-process perf gates, and lint the zoo corpus. Everything here is
+# hermetic (no network, no extra tools beyond cargo + coreutils) and
+# leaves the tree exactly as it found it.
+#
+# Every timed gate (the overhead guards and the bench binaries' ratio
+# checks) follows one rule: it times the two sides it compares back to
+# back in pairs, alternating which side runs first, and bounds the
+# median of the per-pair ratios (bddfc_bench::paired_ratio). No gate
+# compares a time against a committed absolute number, so the host's
+# speed does not decide a run.
 #
 # Usage:  ./ci.sh
-# Env:    BDDFC_BENCH_THRESHOLD  max allowed median_ns growth in percent
-#                                before bench_diff fails (default 100,
-#                                i.e. 2x — the in-tree harness guards
-#                                coarse regressions, and shared-runner
-#                                medians over 10 iterations routinely
-#                                swing tens of percent; tighten locally
-#                                on quiet hardware).
-#         BDDFC_SKIP_BENCH=1     skip the bench regression step (the
-#                                slowest stage) for a quick pre-push run.
+# Env:    BDDFC_SKIP_BENCH=1     skip the bench step (the slowest
+#                                stage) for a quick pre-push run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,43 +29,15 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo doc --no-deps --workspace (no broken intra-doc links)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
 
-echo "==> cargo test --release --test overhead (Null-sink overhead guard; self-skips in debug)"
+echo "==> cargo test --release --test overhead (paired-ratio overhead guards; self-skip in debug)"
 cargo test --release --offline --test overhead
 
 echo "==> bddfc-prof --check (deterministic telemetry self-check)"
 cargo run -q --release -p bddfc-bench --bin bddfc-prof -- --workload e13 --check
 
 if [ "${BDDFC_SKIP_BENCH:-0}" != "1" ]; then
-    echo "==> benches vs committed BENCH_*.json baselines"
-    threshold="${BDDFC_BENCH_THRESHOLD:-100}"
-    tmp=$(mktemp -d)
-    targets="chase join rewrite types pipeline"
-    # Put the committed baselines back however the step ends, a failing
-    # bench or bench_diff included, so the gate leaves a clean tree.
-    restore_baselines() {
-        for t in $targets; do
-            if [ -f "$tmp/BENCH_$t.baseline.json" ]; then
-                cp "$tmp/BENCH_$t.baseline.json" "crates/bench/BENCH_$t.json"
-            fi
-        done
-        rm -rf "$tmp"
-    }
-    trap restore_baselines EXIT
-    for t in $targets; do
-        cp "crates/bench/BENCH_$t.json" "$tmp/BENCH_$t.baseline.json"
-    done
-    # The bench binaries append fresh rows to the committed files (their
-    # cwd under cargo is crates/bench/); bench_diff matches rows by
-    # (name, threads) with last-occurrence-wins, so diffing the saved
-    # baseline against the appended file compares old vs fresh.
-    BDDFC_BENCH_JSON=1 cargo bench --workspace
-    for t in $targets; do
-        cargo run -q --release -p bddfc-bench --bin bench_diff -- \
-            "$tmp/BENCH_$t.baseline.json" "crates/bench/BENCH_$t.json" \
-            --threshold "$threshold"
-    done
-    restore_baselines
-    trap - EXIT
+    echo "==> cargo bench --workspace (paired-ratio gates; writes no tracked file)"
+    env -u BDDFC_BENCH_JSON cargo bench --workspace
 else
     echo "==> benches skipped (BDDFC_SKIP_BENCH=1)"
 fi

@@ -1,9 +1,10 @@
 //! Benches for the chase engine (experiments E1 and E13), plus the
 //! semi-naive work-ratio check: on Example 1's transitive-closure
 //! program the semi-naive engine must attempt at least 2× fewer body
-//! matches per run than the naive oracle.
+//! matches per run than the naive oracle. Timed comparisons use
+//! [`bddfc_bench::paired_ratio`].
 
-use bddfc_bench::bench;
+use bddfc_bench::{bench, paired_ratio};
 use bddfc_chase::{chase, ChaseConfig, ChaseStrategy, ChaseVariant};
 use bddfc_core::{par, parse_into, parse_program, Vocabulary};
 
@@ -54,47 +55,41 @@ fn chase_divergence() {
 }
 
 /// Semi-naive vs naive trigger counts on Example 1's transitive-closure
-/// rule over a chain — the engine's own work metric, asserted ≥2×.
+/// rule over a chain — the engine's own work metric, asserted ≥2× —
+/// and the paired naive/semi-naive time ratio, printed only.
 fn seminaive_work_ratio() {
     let edges: String = (1..=24).map(|i| format!("E(v{i},v{}). ", i + 1)).collect();
     let prog =
         parse_program(&format!("E(X,Y), E(Y,Z) -> E(X,Z). {edges}")).unwrap();
-    let mut totals = [0u64; 2];
-    for (slot, strategy) in [ChaseStrategy::SemiNaive, ChaseStrategy::Naive]
-        .into_iter()
-        .enumerate()
-    {
-        let mut voc = prog.voc.clone();
-        let res = chase(
+    let run = |strategy| {
+        chase(
             &prog.instance,
             &prog.theory,
-            &mut voc,
+            &mut prog.voc.clone(),
             ChaseConfig::default().with_strategy(strategy),
-        );
-        totals[slot] = res.stats.total_body_matches();
-        bench(&format!("seminaive_ratio/{strategy:?}"), 3, || {
-            let mut v = prog.voc.clone();
-            chase(
-                &prog.instance,
-                &prog.theory,
-                &mut v,
-                ChaseConfig::default().with_strategy(strategy),
-            )
-            .instance
-            .len()
-        });
-    }
-    let [semi, naive] = totals;
+        )
+    };
+    let [semi, naive] = [ChaseStrategy::SemiNaive, ChaseStrategy::Naive].map(|strategy| {
+        bench(&format!("seminaive_ratio/{strategy:?}"), 3, || run(strategy).instance.len());
+        run(strategy).stats.total_body_matches()
+    });
     println!("seminaive_ratio: {naive} naive vs {semi} semi-naive body matches");
+    paired_ratio(
+        "seminaive_ratio/naive_vs_seminaive_time",
+        41,
+        || run(ChaseStrategy::Naive).instance.len(),
+        || run(ChaseStrategy::SemiNaive).instance.len(),
+    );
     assert!(
         naive >= 2 * semi,
         "semi-naive must do at least 2x fewer body matches ({naive} vs {semi})"
     );
 }
 
-/// Multi-thread speedup on the E13 throughput workload: 4 worker threads
-/// must beat 1 thread by ≥1.3× on the median. Skipped with a notice on
-/// machines with fewer than 4 cores, where the comparison is meaningless.
+/// Multi-thread speedup on the E13 throughput workload: the paired
+/// median of 1-thread over 4-thread time must be ≥1.3. Skipped with a
+/// notice on machines with fewer than 4 cores, where the comparison is
+/// meaningless.
 fn thread_speedup() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < 4 {
@@ -113,32 +108,20 @@ fn thread_speedup() {
     .unwrap();
     let run = |threads: usize| {
         par::with_thread_count(threads, || {
-            bench(&format!("chase_thread_speedup/{threads}"), 5, || {
-                let mut v = voc.clone();
-                chase(
-                    &db,
-                    &theory,
-                    &mut v,
-                    ChaseConfig { max_rounds: 3, max_facts: 2_000_000, ..Default::default() },
-                )
-                .instance
-                .len()
-            })
+            chase(
+                &db,
+                &theory,
+                &mut voc.clone(),
+                ChaseConfig { max_rounds: 3, max_facts: 2_000_000, ..Default::default() },
+            )
+            .instance
+            .len()
         })
     };
-    let single = run(1);
-    let quad = run(4);
-    let (m1, m4) = (single.median().as_nanos() as f64, quad.median().as_nanos() as f64);
-    println!(
-        "chase_thread_speedup: {:.2}x (1 thread {:?}, 4 threads {:?})",
-        m1 / m4,
-        single.median(),
-        quad.median()
-    );
+    let speedup = paired_ratio("chase_thread_speedup/1_vs_4", 21, || run(1), || run(4));
     assert!(
-        m1 >= 1.3 * m4,
-        "expected a >=1.3x median speedup with 4 threads over 1, got {:.2}x",
-        m1 / m4
+        speedup >= 1.3,
+        "expected a >=1.3x paired median speedup with 4 threads over 1, got {speedup:.2}x"
     );
 }
 

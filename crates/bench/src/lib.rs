@@ -11,13 +11,11 @@
 
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod experiments;
 pub mod prof;
 pub mod timing;
 pub mod top;
 
-pub use diff::{diff_files, parse_bench_file, BenchRecord, DiffReport, DiffRow};
 pub use experiments::{all_experiments, run_experiment, Experiment};
 pub use prof::{run_workload, Report, WorkloadRun, WORKLOADS};
-pub use timing::{bench, black_box, format_row, init_json, BenchRow, SCHEMA_VERSION};
+pub use timing::{bench, black_box, format_row, init_json, paired_ratio, BenchRow, SCHEMA_VERSION};

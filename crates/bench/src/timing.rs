@@ -1,11 +1,19 @@
-//! Minimal dependency-free micro-benchmark helper for the `benches/`
-//! binaries (`harness = false`), replacing the external Criterion
-//! harness so the workspace builds offline.
+//! Minimal dependency-free timing helpers for the `benches/` binaries
+//! (`harness = false`) and the timed tests, replacing the external
+//! Criterion harness so the workspace builds offline.
 //!
-//! Methodology: a warmup pass, then `iters` timed runs; the row reports
-//! min / median / max wall-clock per run. Medians are robust enough for
-//! the coarse "did this get slower by 10×" regressions these benches
-//! guard against; rigorous statistics are out of scope by design.
+//! Two helpers, with one rule for gates:
+//!
+//! * [`bench()`] reports a row: a warmup pass, then `iters` timed runs,
+//!   with min / median / max wall-clock per run. Rows record the
+//!   trajectory. No gate reads their absolute values, which move with
+//!   the host's speed and load.
+//! * [`paired_ratio`] decides every timed gate. It times two closures
+//!   back to back in each pair, alternating which one runs first, and
+//!   returns the median of the per-pair time ratios. A change of host
+//!   speed slower than one pair cancels out of each ratio, and the
+//!   alternation cancels an order effect such as the second side
+//!   finding warm caches. A gate asserts a bound on that median.
 //!
 //! ## Machine-readable output
 //!
@@ -100,12 +108,7 @@ impl BenchRow {
 /// the optimizer cannot delete the computation.
 pub fn bench<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> BenchRow {
     black_box(f()); // warmup
-    let mut times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        times.push(t0.elapsed());
-    }
+    let mut times: Vec<Duration> = (0..iters).map(|_| time(&mut f)).collect();
     times.sort_unstable();
     let row = BenchRow { name: name.to_string(), times };
     emit_json(&row);
@@ -118,6 +121,57 @@ pub fn bench<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> BenchRow 
         iters
     );
     row
+}
+
+/// Times `a` against `b` over `pairs` pairs and returns the median of
+/// the per-pair ratios `t_a / t_b`; prints one line with `name`, the
+/// median and the quartiles.
+///
+/// Each side runs once untimed first. Within a pair the two sides run
+/// back to back: even pairs run `a` first, odd pairs run `b` first. For
+/// an even number of pairs the median is the geometric mean of the two
+/// middle ratios, so a ratio and its inverse centre on 1.
+pub fn paired_ratio<A, B>(
+    name: &str,
+    pairs: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> f64 {
+    assert!(pairs > 0, "paired_ratio needs at least one pair");
+    black_box(a());
+    black_box(b());
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let (t_a, t_b) = if i % 2 == 0 {
+                let t_a = time(&mut a);
+                (t_a, time(&mut b))
+            } else {
+                let t_b = time(&mut b);
+                (time(&mut a), t_b)
+            };
+            t_a.as_secs_f64() / t_b.as_secs_f64()
+        })
+        .collect();
+    ratios.sort_unstable_by(f64::total_cmp);
+    let n = ratios.len();
+    let median = if n % 2 == 1 {
+        ratios[n / 2]
+    } else {
+        (ratios[n / 2 - 1] * ratios[n / 2]).sqrt()
+    };
+    println!(
+        "{name:<44} paired median {median:.3}  quartiles {:.3}..{:.3}  ({pairs} pairs)",
+        ratios[n / 4],
+        ratios[(3 * n) / 4],
+    );
+    median
+}
+
+/// Wall-clock time of one call of `f`, its result black-boxed.
+fn time<T>(f: &mut impl FnMut() -> T) -> Duration {
+    let t0 = Instant::now();
+    black_box(f());
+    t0.elapsed()
 }
 
 /// An identity function the optimizer must assume reads and writes its
@@ -158,6 +212,52 @@ mod tests {
         assert!(line.contains("\"name\":\"chase_throughput/Restricted/30\""));
         assert!(line.contains("\"min_ns\":10,\"median_ns\":20,\"max_ns\":30,\"threads\":7"));
         assert!(line.ends_with("}\n"));
+    }
+
+    /// `n` iterations of work the optimizer cannot fold away.
+    fn spin(n: u64) -> u64 {
+        (0..n).fold(0, |acc, i| black_box(acc ^ i))
+    }
+
+    #[test]
+    fn paired_ratio_reads_twice_the_work_as_two() {
+        let r = paired_ratio("twice", 41, || spin(400_000), || spin(200_000));
+        assert!((1.6..=2.4).contains(&r), "{r}");
+    }
+
+    #[test]
+    fn paired_ratio_alternates_which_side_runs_first() {
+        let order = std::cell::RefCell::new(String::new());
+        paired_ratio("order", 4, || order.borrow_mut().push('a'), || order.borrow_mut().push('b'));
+        // One untimed run of each side, then ab, ba, ab, ba.
+        assert_eq!(order.into_inner(), "ababbaabba");
+    }
+
+    #[test]
+    fn paired_ratio_cancels_an_order_effect() {
+        // Each side does the same work and sleeps 2 ms more when it runs
+        // first in its pair. Always running `a` first would read about 3.
+        let calls = std::cell::Cell::new(0usize);
+        let side = || {
+            let k = calls.replace(calls.get() + 1);
+            let first = k >= 2 && k % 2 == 0;
+            std::thread::sleep(Duration::from_millis(if first { 3 } else { 1 }));
+        };
+        let r = paired_ratio("order effect", 8, side, side);
+        assert!((0.8..=1.25).contains(&r), "{r}");
+    }
+
+    #[test]
+    fn one_pair_gives_that_pairs_ratio() {
+        let (t_a, t_b) = (std::cell::Cell::new(0.0), std::cell::Cell::new(0.0));
+        let timed = |cell: &std::cell::Cell<f64>, ms| {
+            let t0 = Instant::now();
+            std::thread::sleep(Duration::from_millis(ms));
+            cell.set(t0.elapsed().as_secs_f64());
+        };
+        let r = paired_ratio("one pair", 1, || timed(&t_a, 10), || timed(&t_b, 5));
+        let inner = t_a.get() / t_b.get();
+        assert!((r / inner - 1.0).abs() < 0.05, "paired {r} vs the pair's own {inner}");
     }
 
     #[test]

@@ -103,6 +103,9 @@ use std::sync::{Arc, Mutex};
 /// Bounded per-request telemetry capture used for slow-query entries.
 const SLOW_CAPTURE_CAP: usize = 4096;
 
+/// Ring capacity of the slow-query log.
+const SLOWLOG_CAP: usize = 128;
+
 /// Service configuration: per-mutation closure budgets and the oracle
 /// switch.
 #[derive(Clone, Copy, Debug)]
@@ -122,8 +125,6 @@ pub struct ServeConfig {
     /// recorded in the slow-query log. `None` disables the log (and the
     /// per-request telemetry capture it needs).
     pub slow_ms: Option<u64>,
-    /// Ring capacity of the slow-query log.
-    pub slowlog_cap: usize,
 }
 
 impl Default for ServeConfig {
@@ -134,7 +135,6 @@ impl Default for ServeConfig {
             oracle: false,
             metrics: true,
             slow_ms: None,
-            slowlog_cap: 128,
         }
     }
 }
@@ -273,7 +273,7 @@ impl<'s, S: EventSink> Server<'s, S> {
             requests: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             metrics: config.metrics.then(new_registry),
-            slowlog: config.slow_ms.map(|ms| SlowLog::new(ms, config.slowlog_cap)),
+            slowlog: config.slow_ms.map(|ms| SlowLog::new(ms, SLOWLOG_CAP)),
             analysis_json: analysis.json("load", program),
         };
         // The initial facts go through the ordinary insert path, so epoch 1
@@ -563,7 +563,9 @@ impl<'s, S: EventSink> Server<'s, S> {
         local.counter_add(names::ROUNDS, None, u64::from(out.rounds));
         local.counter_add(names::OVERDELETED, None, out.overdeleted as u64);
         local.counter_add(names::REDERIVED, None, out.new_facts as u64);
-        // A retraction rebuilds the fact store: reseal as one segment.
+        // A retraction removes facts in place and shifts the later ones
+        // down, so the old segment boundaries no longer hold: reseal as
+        // one segment.
         w.segments = vec![w.inc.instance().len()];
         w.retracts += 1;
         self.commit(&mut w);

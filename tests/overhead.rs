@@ -1,4 +1,5 @@
-//! Overhead guards, timed in-process as ratios so they hold on any host.
+//! Overhead guards, timed in-process as paired ratios
+//! ([`bddfc_bench::paired_ratio`]) so they hold on any host.
 //!
 //! Null-sink overhead: the telemetry layer in `bddfc_core::obs`
 //! promises that a `Null` sink costs nothing — event construction sits
@@ -6,12 +7,12 @@
 //! constant, so the instrumented chase must run at the speed of an
 //! uninstrumented one. This test measures that claim on an E13-style
 //! workload (transitive closure over a seeded random graph, the
-//! chase-throughput bench shape) and fails if the median wall time of
-//! the public `chase` entry point exceeds the hand-stripped baseline
-//! kernel (`chase_uninstrumented_baseline`) by more than 5%. The serve
-//! request path is held to the same margin with metrics on and off, and
-//! small work must not run slower at two threads than at one (`par`'s
-//! small-region cutoff).
+//! chase-throughput bench shape) and fails if the paired median time
+//! ratio of the public `chase` entry point over the hand-stripped
+//! baseline kernel (`chase_uninstrumented_baseline`) exceeds 1.05. The
+//! serve request path is held to the same margin with metrics on and
+//! off, and small work must not run more than 10% slower at two threads
+//! than at one (`par`'s small-region cutoff).
 //!
 //! Timing assertions are inherently machine-sensitive, so the test
 //! self-skips (with a printed notice) in debug builds, where the
@@ -22,42 +23,31 @@ use bddfc::chase::engine::chase_uninstrumented_baseline;
 use bddfc::chase::{chase, ChaseConfig};
 use bddfc::core::{par, parse_into, parse_query, parse_rule, Program, Theory, Vocabulary};
 use bddfc::finite::{finite_countermodel, FcConfig};
+use bddfc_bench::paired_ratio;
 use bddfc_serve::{transcript, ServeConfig, Server};
-use std::time::{Duration, Instant};
 
-/// Serializes the timed sections: two timing tests racing each other
-/// for cores would measure contention, not overhead.
+/// Serializes the guards, setup included: a guard timing while another
+/// builds its workload would measure contention, not overhead.
 static TIMING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Takes [`TIMING_LOCK`], ignoring poison: one guard failing its
-/// assertion must not fail the others, which still time correctly.
-fn timing_lock() -> std::sync::MutexGuard<'static, ()> {
-    TIMING_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Median-of-`n` wall time of `f`, after one warmup run.
-fn median_time<T>(n: usize, mut f: impl FnMut() -> T) -> Duration {
-    std::hint::black_box(f());
-    let mut times: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-#[test]
-fn null_sink_chase_is_within_five_percent_of_uninstrumented_baseline() {
+/// assertion must not fail the others, which still time correctly. In a
+/// debug build it prints a notice and returns `None`, and the guard
+/// skips.
+fn timing_lock() -> Option<std::sync::MutexGuard<'static, ()>> {
     if cfg!(debug_assertions) {
         println!(
             "skipping overhead assertion in a debug build; \
              run `cargo test --release --test overhead` to measure it"
         );
-        return;
+        return None;
     }
+    Some(TIMING_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+}
+
+#[test]
+fn null_sink_chase_is_within_five_percent_of_uninstrumented_baseline() {
+    let Some(_timing) = timing_lock() else { return };
 
     // E13 shape: transitive closure on a seeded random graph — a
     // terminating, fact-heavy workload where per-round bookkeeping
@@ -69,34 +59,22 @@ fn null_sink_chase_is_within_five_percent_of_uninstrumented_baseline() {
     let db = bddfc::zoo::random_graph(&mut voc, 60, 180, 13);
     let config = ChaseConfig { max_rounds: 8, max_facts: 200_000, ..Default::default() };
 
-    let _timing = timing_lock();
-
     // Sanity: both kernels compute the same instance before we time them.
     let instrumented = chase(&db, &theory, &mut voc.clone(), config);
     let baseline = chase_uninstrumented_baseline(&db, &theory, &mut voc.clone(), config);
     assert_eq!(instrumented.instance, baseline, "kernels diverged; timing is meaningless");
 
-    // Timing noise swamps a 5% margin on a loaded machine, so take the
-    // best (smallest) instrumented/baseline ratio over a few attempts
-    // and only fail when *every* attempt exceeds the margin.
-    const ATTEMPTS: usize = 3;
-    const ITERS: usize = 7;
-    let mut best_ratio = f64::INFINITY;
-    for _ in 0..ATTEMPTS {
-        let t_base =
-            median_time(ITERS, || chase_uninstrumented_baseline(&db, &theory, &mut voc.clone(), config));
-        let t_inst = median_time(ITERS, || chase(&db, &theory, &mut voc.clone(), config));
-        let ratio = t_inst.as_secs_f64() / t_base.as_secs_f64();
-        best_ratio = best_ratio.min(ratio);
-        if best_ratio <= 1.05 {
-            break;
-        }
-    }
+    let ratio = paired_ratio(
+        "overhead/null_sink_vs_uninstrumented",
+        41,
+        || chase(&db, &theory, &mut voc.clone(), config),
+        || chase_uninstrumented_baseline(&db, &theory, &mut voc.clone(), config),
+    );
     assert!(
-        best_ratio <= 1.05,
+        ratio <= 1.05,
         "Null-sink chase is {:.1}% slower than the uninstrumented baseline \
          (limit 5%); the obs layer is leaking cost onto the hot path",
-        (best_ratio - 1.0) * 100.0
+        (ratio - 1.0) * 100.0
     );
 }
 
@@ -106,13 +84,7 @@ fn null_sink_chase_is_within_five_percent_of_uninstrumented_baseline() {
 /// metrics-disabled server on the E13 query path.
 #[test]
 fn serve_request_path_with_metrics_is_within_five_percent_of_disabled() {
-    if cfg!(debug_assertions) {
-        println!(
-            "skipping overhead assertion in a debug build; \
-             run `cargo test --release --test overhead` to measure it"
-        );
-        return;
-    }
+    let Some(_timing) = timing_lock() else { return };
 
     // E13 shape again: TC over a seeded random graph, loaded once per
     // server; the timed section is a query-heavy session (the request
@@ -126,30 +98,22 @@ fn serve_request_path_with_metrics_is_within_five_percent_of_disabled() {
     let script: String =
         "query E(v0,v1)\nquery E(v1,v0)\nquery E(v2,v3)\nquery E(v0,v0)\n".repeat(64);
 
-    let _timing = timing_lock();
-
     let on = Server::new(&program, ServeConfig::default());
     let off = Server::new(&program, ServeConfig { metrics: false, ..ServeConfig::default() });
     // Both servers answer identically before we time them.
     assert_eq!(transcript(&on, &script), transcript(&off, &script));
 
-    const ATTEMPTS: usize = 3;
-    const ITERS: usize = 7;
-    let mut best_ratio = f64::INFINITY;
-    for _ in 0..ATTEMPTS {
-        let t_off = median_time(ITERS, || transcript(&off, &script));
-        let t_on = median_time(ITERS, || transcript(&on, &script));
-        let ratio = t_on.as_secs_f64() / t_off.as_secs_f64();
-        best_ratio = best_ratio.min(ratio);
-        if best_ratio <= 1.05 {
-            break;
-        }
-    }
+    let ratio = paired_ratio(
+        "overhead/serve_metrics_on_vs_off",
+        301,
+        || transcript(&on, &script),
+        || transcript(&off, &script),
+    );
     assert!(
-        best_ratio <= 1.05,
+        ratio <= 1.05,
         "serve requests with metrics on are {:.1}% slower than with metrics off \
          (limit 5%); the registry is leaking cost onto the request path",
-        (best_ratio - 1.0) * 100.0
+        (ratio - 1.0) * 100.0
     );
 }
 
@@ -160,13 +124,7 @@ fn serve_request_path_with_metrics_is_within_five_percent_of_disabled() {
 /// their one-thread time, with the default cutoff (no `with_min_work`).
 #[test]
 fn small_work_at_two_threads_is_within_ten_percent_of_one() {
-    if cfg!(debug_assertions) {
-        println!(
-            "skipping overhead assertion in a debug build; \
-             run `cargo test --release --test overhead` to measure it"
-        );
-        return;
-    }
+    let Some(_timing) = timing_lock() else { return };
 
     let chain = bddfc::zoo::chain_theory();
     let mut chain_voc = chain.voc.clone();
@@ -187,8 +145,6 @@ fn small_work_at_two_threads_is_within_ten_percent_of_one() {
         chase(&triangle, &example1.theory, &mut ex_voc.clone(), ChaseConfig::rounds(6))
     };
 
-    let _timing = timing_lock();
-
     // Sanity: both workloads give the same answer at both thread counts.
     let model = |threads| {
         par::with_thread_count(threads, || pipeline().model().map(|c| c.model.clone()))
@@ -202,23 +158,17 @@ fn small_work_at_two_threads_is_within_ten_percent_of_one() {
         "chase diverged across thread counts; timing is meaningless"
     );
 
-    const ATTEMPTS: usize = 3;
-    const ITERS: usize = 9;
-    let ratio = |f: &dyn Fn() -> usize| {
-        let mut best = f64::INFINITY;
-        for _ in 0..ATTEMPTS {
-            let t_one = median_time(ITERS, || par::with_thread_count(1, f));
-            let t_two = median_time(ITERS, || par::with_thread_count(2, f));
-            best = best.min(t_two.as_secs_f64() / t_one.as_secs_f64());
-            if best <= 1.1 {
-                break;
-            }
-        }
-        best
-    };
-    let pipeline_ratio = ratio(&|| pipeline().model().map_or(0, |m| m.model_size));
-    let divergence_ratio = ratio(&|| divergence().instance.len());
-    for (name, r) in [("chain pipeline", pipeline_ratio), ("example1/6 chase", divergence_ratio)] {
+    let workloads: [(&str, &dyn Fn() -> usize); 2] = [
+        ("chain pipeline", &|| pipeline().model().map_or(0, |m| m.model_size)),
+        ("example1/6 chase", &|| divergence().instance.len()),
+    ];
+    for (name, f) in workloads {
+        let r = paired_ratio(
+            &format!("overhead/{name}: 2 vs 1 threads"),
+            41,
+            || par::with_thread_count(2, f),
+            || par::with_thread_count(1, f),
+        );
         assert!(
             r <= 1.1,
             "{name} is {:.1}% slower at 2 threads than at 1 (limit 10%); \
