@@ -26,8 +26,8 @@ cargo test --workspace -q
 echo "==> cargo test --release --manifest-path benchmark/Cargo.toml (the benchmark builds and agrees with the library)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo doc --no-deps --workspace (no broken intra-doc links)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+echo "==> cargo doc --no-deps --workspace (every rustdoc warning is an error)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> cargo test --release --test overhead (paired-ratio overhead guards; self-skip in debug)"
 cargo test --release --offline --test overhead

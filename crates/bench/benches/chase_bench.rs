@@ -1,6 +1,6 @@
 //! Benches for the chase engine (experiments E1 and E13), plus the
 //! semi-naive work-ratio check: on Example 1's transitive-closure
-//! program the semi-naive engine must attempt at least 2× fewer body
+//! program the semi-naive engine must attempt at least 2.5× fewer body
 //! matches per run than the naive oracle. Timed comparisons use
 //! [`bddfc_bench::paired_ratio`].
 
@@ -55,8 +55,10 @@ fn chase_divergence() {
 }
 
 /// Semi-naive vs naive trigger counts on Example 1's transitive-closure
-/// rule over a chain — the engine's own work metric, asserted ≥2× —
-/// and the paired naive/semi-naive time ratio, printed only.
+/// rule over a chain — the engine's own work metric, asserted ≥2.5×
+/// (5,887 naive vs 2,300 semi-naive, 2.56×, when each delta-touching
+/// match is enumerated once) — and the paired naive/semi-naive time
+/// ratio, printed only.
 fn seminaive_work_ratio() {
     let edges: String = (1..=24).map(|i| format!("E(v{i},v{}). ", i + 1)).collect();
     let prog =
@@ -81,8 +83,8 @@ fn seminaive_work_ratio() {
         || run(ChaseStrategy::SemiNaive).instance.len(),
     );
     assert!(
-        naive >= 2 * semi,
-        "semi-naive must do at least 2x fewer body matches ({naive} vs {semi})"
+        2 * naive >= 5 * semi,
+        "semi-naive must do at least 2.5x fewer body matches ({naive} vs {semi})"
     );
 }
 

@@ -4,18 +4,19 @@
 //!
 //! `e13/*` measures the kernels directly: both re-enumerate every
 //! rule-body homomorphism of the E13 theory over the same frozen chased
-//! instance — the work `collect_repairs` does each naive round — with no
+//! instance — the work `collect_repairs` does each naive round, the
+//! kernel projecting each match on its rule's frontier — with no
 //! admission, null invention or insertion in the loop. The gate is the
 //! paired median of `hom` time over kernel time
 //! ([`bddfc_bench::paired_ratio`]), which must be at least 3x: an
-//! unchanged kernel reads about 3.7x on a 2-vCPU host and a kernel
-//! slowed 1.7x about 2.3x. `tc/batch` times the chase end to end on a
+//! unchanged kernel reads about 3.5x on a 2-vCPU host and a kernel
+//! slowed 1.7x about 2.0x. `tc/batch` times the chase end to end on a
 //! join-heavy datalog theory.
 
 use bddfc_bench::{bench, paired_ratio};
 use bddfc_chase::{chase, ChaseConfig, ChaseVariant};
 use bddfc_core::hom::{self, Binding};
-use bddfc_core::join::eval_body;
+use bddfc_core::join::for_each_projection;
 use bddfc_core::{par, parse_into, Vocabulary};
 use std::ops::ControlFlow;
 
@@ -53,9 +54,26 @@ fn e13_kernel() -> f64 {
         }
         matches
     };
+    // The kernel side projects each match on its rule's frontier, as
+    // the chase's trigger collection does.
+    let frontiers: Vec<Vec<_>> = theory
+        .rules
+        .iter()
+        .map(|rule| {
+            let mut f: Vec<_> = rule.frontier().into_iter().collect();
+            f.sort_unstable();
+            f
+        })
+        .collect();
     let batch = || -> u64 {
-        let rows = |rule: &bddfc_core::Rule| eval_body(inst.columnar(), &rule.body, None, None).rows();
-        theory.rules.iter().map(rows).sum::<usize>() as u64
+        let store = inst.columnar();
+        let matches = |(rule, frontier): (&bddfc_core::Rule, &Vec<_>)| {
+            let full = |j: usize| 0..store.rows(rule.body[j].pred);
+            for_each_projection(store, &rule.body, None, full, frontier, None, None, |v| {
+                std::hint::black_box(v);
+            })
+        };
+        theory.rules.iter().zip(&frontiers).map(matches).sum::<u64>()
     };
     par::with_thread_count(1, || {
         bench("join_kernel/e13/tuple", 10, tuple);

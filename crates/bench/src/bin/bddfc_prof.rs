@@ -1,7 +1,7 @@
 //! `bddfc-prof` — hierarchical span profiler over the zoo workloads.
 //!
 //! Runs one workload with every engine wired to a recording
-//! [`Memory`](bddfc_core::obs::Memory) sink, then renders the per-rule /
+//! [`Memory`] sink, then renders the per-rule /
 //! per-predicate attribution tables, the span tree, a log2 latency
 //! histogram, and (on request) a collapsed-stack flamegraph file and a
 //! JSONL trace.

@@ -224,16 +224,15 @@ enum Key {
     Wide(Vec<ConstId>),
 }
 
-/// Extracts the frontier key of `row` from the batch columns at `slots`.
-#[inline]
-fn key_of_row(batch: &join::BindingBatch, slots: &[usize], row: usize) -> Key {
-    match slots[..] {
-        [] => Key::Packed(0),
-        [a] => Key::Packed(u64::from(batch.get(row, a).0)),
-        [a, b] => Key::Packed(
-            (u64::from(batch.get(row, a).0) << 32) | u64::from(batch.get(row, b).0),
-        ),
-        _ => Key::Wide(slots.iter().map(|&s| batch.get(row, s)).collect()),
+impl Key {
+    /// The key of the frontier values `vals` (in sorted-frontier order).
+    fn of(vals: &[ConstId]) -> Key {
+        match *vals {
+            [] => Key::Packed(0),
+            [a] => Key::Packed(u64::from(a.0)),
+            [a, b] => Key::Packed((u64::from(a.0) << 32) | u64::from(b.0)),
+            _ => Key::Wide(vals.to_vec()),
+        }
     }
 }
 
@@ -349,7 +348,7 @@ impl RuleTemplate {
     }
 
     /// The frontier values a key carries, unpacked into `buf` for packed
-    /// keys (ordered like the sorted frontier — see [`key_of_row`]).
+    /// keys (ordered like the sorted frontier — see [`Key::of`]).
     fn key_vals<'a>(&self, key: &'a Key, buf: &'a mut [ConstId; 2]) -> &'a [ConstId] {
         match key {
             Key::Wide(v) => v,
@@ -631,13 +630,13 @@ fn sorted_frontier(rule: &Rule) -> Vec<VarId> {
     frontier
 }
 
-/// One trigger-collection work item: a rule body evaluated by the batch
-/// join kernel over the whole instance (`None`) or with one body atom
-/// pinned to a tail segment of its relation (`Some((pin, delta tail))`),
-/// or by `hom`'s binding-seeded search under a partial frontier binding
-/// (see [`rederive_items`]).
+/// One trigger-collection work item: a rule body evaluated by the join
+/// kernel over the whole instance (`None`) or as the semi-naive item
+/// pinned at one body atom (`Some(pin)`, read through
+/// [`join::seminaive_range`]), or by `hom`'s binding-seeded search under
+/// a partial frontier binding (see [`rederive_items`]).
 enum WorkItem {
-    Kernel(usize, Option<(usize, Range<usize>)>),
+    Kernel(usize, Option<usize>),
     Seeded(usize, Binding),
 }
 
@@ -648,11 +647,19 @@ enum WorkItem {
 const ROW_WORK: usize = 8;
 
 impl WorkItem {
-    /// The item's estimated rows: its pinned delta segment, the whole
-    /// instance when unpinned, one for a binding-seeded search.
-    fn est_rows(&self, inst: &Instance) -> usize {
-        match self {
-            WorkItem::Kernel(_, Some((_, tail))) => tail.len(),
+    /// The item's estimated rows: its pinned atom's delta rows (from
+    /// `delta_count`), the whole instance when unpinned, one for a
+    /// binding-seeded search.
+    fn est_rows(
+        &self,
+        theory: &Theory,
+        inst: &Instance,
+        delta_count: &FxHashMap<PredId, usize>,
+    ) -> usize {
+        match *self {
+            WorkItem::Kernel(rule_idx, Some(pin)) => {
+                delta_count.get(&theory.rules[rule_idx].body[pin].pred).copied().unwrap_or(0)
+            }
             WorkItem::Kernel(_, None) => inst.len(),
             WorkItem::Seeded(..) => 1,
         }
@@ -660,7 +667,7 @@ impl WorkItem {
 }
 
 /// The frontier key of a body homomorphism `b` (packed like
-/// [`key_of_row`], so both enumerators produce identical keys).
+/// [`Key::of`], so both enumerators produce identical keys).
 fn key_of_binding(frontier: &[VarId], b: &Binding) -> Key {
     let val = |v: &VarId| b[v];
     match frontier {
@@ -729,21 +736,29 @@ fn rederive_items(theory: &Theory, templates: &[RuleTemplate], deleted: &[Fact])
 ///   append-only columnar layout: between rounds nothing but the round's
 ///   new facts is inserted, so the delta facts of predicate `p` are
 ///   exactly the last `delta_count(p)` rows of `p`'s relation — a
-///   contiguous segment, no copying. A body-less rule joins no delta, so
-///   its single empty trigger is only ever new on the opening round
-///   (`first_round`).
+///   contiguous segment, no copying — and the rows before them are its
+///   old prefix. In the item pinned at body atom `i`, the atoms before
+///   `i` read only their old prefix and the atoms after `i` their whole
+///   relation, so a match touching the delta is enumerated once, by its
+///   first delta atom. A body-less rule joins no delta, so its single
+///   empty trigger is only ever new on the opening round (`first_round`).
 ///
 /// `extra` items join either strategy's: incremental maintenance uses
 /// them to re-enumerate only the triggers a retraction can have left
-/// unwitnessed (see [`ChaseStepper::rederive`]).
+/// unwitnessed (see [`ChaseStepper::rederive`]). They, and the naive
+/// items, read every relation whole.
 ///
 /// Items are read-only and run in parallel, emitting `(rule, key)` pairs
 /// only (everything a trigger grounds is a pure function of the pair).
-/// Global first-occurrence dedup and admission then run sequentially on
-/// the merged stream, so the surviving candidates are identical at any
-/// shard split. Generic over the sink *type* only: with `S::ENABLED ==
-/// false` (the `Null` sink) every attribution branch is statically
-/// eliminated.
+/// A kernel item never materializes its last join step: the kernel
+/// hands it each match's frontier values
+/// ([`join::for_each_projection`]), and packed keys are deduplicated
+/// per item as `u64`s before they become candidates. Global
+/// first-occurrence dedup and admission then run sequentially on the
+/// merged stream, so the surviving candidates are identical at any
+/// shard split, in an order [`apply_repairs`] does not depend on.
+/// Generic over the sink *type* only: with `S::ENABLED == false` (the
+/// `Null` sink) every attribution branch is statically eliminated.
 fn collect_repairs<S: EventSink>(
     inst: &Instance,
     theory: &Theory,
@@ -761,12 +776,14 @@ fn collect_repairs<S: EventSink>(
         work.rule_work = vec![RuleWork::default(); theory.rules.len()];
     }
     let mut items: Vec<WorkItem> = Vec::new();
+    // Delta rows per predicate (semi-naive only): the delta is the last
+    // `delta_count[p]` rows of `p`'s relation, the rest its old prefix.
+    let mut delta_count: FxHashMap<PredId, usize> = FxHashMap::default();
     match strategy {
         ChaseStrategy::Naive => {
             items.extend((0..theory.rules.len()).map(|r| WorkItem::Kernel(r, None)))
         }
         ChaseStrategy::SemiNaive => {
-            let mut delta_count: FxHashMap<PredId, usize> = FxHashMap::default();
             for f in delta {
                 *delta_count.entry(f.pred).or_default() += 1;
             }
@@ -779,9 +796,11 @@ fn collect_repairs<S: EventSink>(
                 }
                 for (pin, atom) in rule.body.iter().enumerate() {
                     let Some(&k) = delta_count.get(&atom.pred) else { continue };
-                    let rows = inst.columnar().rows(atom.pred);
-                    debug_assert!(k <= rows, "delta larger than its relation");
-                    items.push(WorkItem::Kernel(rule_idx, Some((pin, rows - k..rows))));
+                    debug_assert!(
+                        k <= inst.columnar().rows(atom.pred),
+                        "delta larger than its relation"
+                    );
+                    items.push(WorkItem::Kernel(rule_idx, Some(pin)));
                 }
             }
         }
@@ -798,12 +817,15 @@ fn collect_repairs<S: EventSink>(
     // emit locally-new `(rule, key)` pairs in work-list order. Shard-local
     // dedup is sound because phase 2 dedups again globally: the first
     // occurrence in the merged stream survives either way.
-    let est_work = items.iter().map(|item| item.est_rows(inst)).sum::<usize>() * ROW_WORK;
+    let est_rows = |item: &WorkItem| item.est_rows(theory, inst, &delta_count);
+    let est_work = items.iter().map(est_rows).sum::<usize>() * ROW_WORK;
     let shard_out: Vec<(Vec<(usize, Key)>, u64, Option<ShardAttr>)> =
         par::par_chunks(items.len(), est_work, |range| {
             let mut out = Vec::new();
             let mut matches = 0u64;
             let mut local_seen: FxHashSet<(usize, Key)> = FxHashSet::default();
+            // One item's packed keys, reused across the shard's items.
+            let mut item_keys: FxHashSet<u64> = FxHashSet::default();
             let mut attr = if S::ENABLED {
                 Some(ShardAttr {
                     rule_matches: vec![0; theory.rules.len()],
@@ -833,26 +855,34 @@ fn collect_repairs<S: EventSink>(
                         (*rule_idx, rows)
                     }
                     WorkItem::Kernel(rule_idx, pinned) => {
-                        let batch = join::eval_body_with_priors(
-                            inst.columnar(),
-                            &theory.rules[*rule_idx].body,
-                            pinned.clone(),
+                        let body = &theory.rules[*rule_idx].body;
+                        let store = inst.columnar();
+                        let range = |j: usize| {
+                            let pred = body[j].pred;
+                            let rows = store.rows(pred);
+                            match *pinned {
+                                Some(pin) => {
+                                    let delta = delta_count.get(&pred).copied().unwrap_or(0);
+                                    join::seminaive_range(j, pin, rows - delta, rows)
+                                }
+                                None => 0..rows,
+                            }
+                        };
+                        item_keys.clear();
+                        let rows = join::for_each_projection(
+                            store,
+                            body,
+                            *pinned,
+                            range,
+                            &templates[*rule_idx].frontier,
                             attr.as_mut().map(|a| &mut a.joins),
                             priors,
+                            |vals| match Key::of(vals) {
+                                Key::Packed(bits) if !item_keys.insert(bits) => {}
+                                key => emit((*rule_idx, key)),
+                            },
                         );
-                        if batch.rows() > 0 {
-                            // A non-empty batch binds every body variable, so
-                            // every frontier variable has a schema slot.
-                            let slots: Vec<usize> = templates[*rule_idx]
-                                .frontier
-                                .iter()
-                                .map(|&v| batch.col_of(v).expect("frontier variable bound by body"))
-                                .collect();
-                            for row in 0..batch.rows() {
-                                emit((*rule_idx, key_of_row(&batch, &slots, row)));
-                            }
-                        }
-                        (*rule_idx, batch.rows() as u64)
+                        (*rule_idx, rows)
                     }
                 };
                 matches += rows;

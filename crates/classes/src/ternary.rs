@@ -133,17 +133,19 @@ pub fn to_ternary(theory: &Theory, voc: &mut Vocabulary) -> TernaryReduction {
 }
 
 impl TernaryReduction {
-    /// Translates a query over the original signature.
+    /// Translates a query over the original signature. A wide predicate
+    /// the theory never mentions gets its encoding registered here, so a
+    /// later [`TernaryReduction::translate_instance`] encodes its facts
+    /// with the same link predicates (and the reverse order works too).
     pub fn translate_query(
-        &self,
+        &mut self,
         query: &ConjunctiveQuery,
         voc: &mut Vocabulary,
     ) -> ConjunctiveQuery {
-        let mut encodings = self.encodings.clone();
         let mut atoms = Vec::new();
         for atom in &query.atoms {
             if atom.args.len() >= 4 {
-                atoms.extend(expand_atom(atom, voc, &mut encodings));
+                atoms.extend(expand_atom(atom, voc, &mut self.encodings));
             } else {
                 atoms.push(atom.clone());
             }
@@ -151,15 +153,17 @@ impl TernaryReduction {
         ConjunctiveQuery { atoms, free: query.free.clone() }
     }
 
-    /// Translates a database instance (fresh nulls name the lists).
-    pub fn translate_instance(&self, db: &Instance, voc: &mut Vocabulary) -> Instance {
+    /// Translates a database instance (fresh nulls name the lists),
+    /// registering an encoding for every wide predicate the theory never
+    /// mentions.
+    pub fn translate_instance(&mut self, db: &Instance, voc: &mut Vocabulary) -> Instance {
         let mut out = Instance::new();
         for fact in db.facts() {
             if fact.args.len() < 4 {
                 out.insert(fact.clone());
                 continue;
             }
-            let enc = &self.encodings[&fact.pred];
+            let enc = encoding_for(fact.pred, voc, &mut self.encodings);
             let mut prev = voc.fresh_null("lst");
             for (i, link) in enc.links.iter().enumerate() {
                 if i == 0 {
@@ -218,7 +222,7 @@ mod tests {
             &mut voc,
         )
         .unwrap();
-        let red = to_ternary(&theory, &mut voc);
+        let mut red = to_ternary(&theory, &mut voc);
         let db_t = red.translate_instance(&db, &mut voc);
         for q_src in ["S(a,W)", "R(a,b,c,W)", "R(b,a,c,W)", "S(b,W)"] {
             let q = parse_query(q_src, &mut voc).unwrap();
@@ -237,7 +241,7 @@ mod tests {
             &mut voc,
         )
         .unwrap();
-        let red = to_ternary(&theory, &mut voc);
+        let mut red = to_ternary(&theory, &mut voc);
         assert_eq!(red.theory.len(), 1);
         assert!(red.encodings.is_empty());
         let db_t = red.translate_instance(&db, &mut voc);
@@ -252,9 +256,35 @@ mod tests {
             &mut voc,
         )
         .unwrap();
-        let red = to_ternary(&theory, &mut voc);
+        let mut red = to_ternary(&theory, &mut voc);
         let db_t = red.translate_instance(&db, &mut voc);
         // arity 4: 2 links + 1 fin = 3 facts.
         assert_eq!(db_t.len(), 3);
+    }
+
+    #[test]
+    fn wide_predicates_outside_the_theory_translate_consistently() {
+        // No rule mentions the arity-4 Q, so the reduction has no encoding
+        // for it until the instance and the query register one.
+        let mut voc = Vocabulary::new();
+        let (theory, db, _) = parse_into(
+            "E(X,Y) -> S(X). E(a,b). Q(a,b,c,d).",
+            &mut voc,
+        )
+        .unwrap();
+        let mut red = to_ternary(&theory, &mut voc);
+        let q_pred = voc.find_pred("Q").unwrap();
+        assert!(!red.encodings.contains_key(&q_pred));
+        let db_t = red.translate_instance(&db, &mut voc);
+        // E(a,b) plus 2 links + 1 fin for Q(a,b,c,d).
+        assert_eq!(db_t.len(), 4);
+        assert!(red.encodings.contains_key(&q_pred));
+        for (q_src, holds) in [("Q(a,b,c,d)", true), ("Q(a,W,c,d)", true), ("Q(a,b,d,c)", false)] {
+            let q = parse_query(q_src, &mut voc).unwrap();
+            let q_t = red.translate_query(&q, &mut voc);
+            let new =
+                certain_cq(&db_t, &red.theory, &mut voc.clone(), &q_t, ChaseConfig::rounds(4));
+            assert_eq!(new.is_true(), holds, "query {q_src}");
+        }
     }
 }

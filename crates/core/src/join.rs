@@ -14,19 +14,26 @@
 //! * a **cross product** when the atom shares no variable with the
 //!   frontier.
 //!
-//! All three paths emit output rows in the canonical `(frontier row,
-//! relation row)` lexicographic order, so downstream consumers observe
-//! the same batch whatever side the table was built on — and, because
-//! work items are fixed before any parallel fan-out, the same batch at
-//! any `BDDFC_THREADS` value.
+//! One pair enumerator runs all of them: four probe paths, counting the
+//! hash join once per build side. [`join_atom`] collects its pairs
+//! and gathers the output batch in the canonical `(frontier row,
+//! relation row)` lexicographic order — only the path that builds on the
+//! frontier has to sort its pairs into it — so downstream consumers
+//! observe the same batch whatever side the table was built on.
 //!
 //! [`plan`] orders a rule body by live predicate cardinalities (smallest
 //! first, pinned delta atom first in semi-naive rounds, connected atoms
-//! before cross products, ties broken by atom index), and [`eval_body`]
-//! folds [`join_atom`] over that order.
+//! before cross products, ties broken by atom index).
+//! [`for_each_projection`] folds [`join_atom`] over every atom of that
+//! order but the last, so only intermediate steps build a
+//! [`BindingBatch`]; the last step hands each match's values of a
+//! projection list (the chase passes the rule's frontier) straight to a
+//! sink, with no pair vector and no gather, in no canonical order. Each
+//! atom reads its own row range, which is how semi-naive rounds split a
+//! relation into its old prefix and delta tail ([`seminaive_range`]).
 //!
-//! The chase and datalog saturation always enumerate rule bodies through
-//! this kernel; [`crate::hom`] is its differential oracle at this seam.
+//! The chase always enumerates rule bodies through this kernel;
+//! [`crate::hom`] is its differential oracle at this seam.
 
 use crate::columnar::{ColumnarStore, Relation};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -346,43 +353,59 @@ fn gather(batch: &BindingBatch, rel: &Relation, s: &AtomShape, pairs: &[(u32, u3
 /// side — the batched analogue of the tuple engine's index lookups.
 const INDEX_PROBE_FACTOR: usize = 8;
 
-/// Extends every row of `batch` against `atom`, restricted to the
-/// relation rows in `range` (the live segment: the full relation, or the
-/// delta tail in semi-naive rounds). Output rows appear in canonical
-/// `(frontier row, relation row)` order; the output schema is the input
-/// schema plus the atom's new variables in first-occurrence order.
-pub fn join_atom(
-    store: &ColumnarStore,
+/// The relation `atom` probes, if extending `batch` against its `range`
+/// can match anything at all.
+fn live_relation<'a>(
+    store: &'a ColumnarStore,
     batch: &BindingBatch,
     atom: &Atom,
+    range: &Range<usize>,
+) -> Option<&'a Relation> {
+    store
+        .relation(atom.pred)
+        .filter(|rel| batch.rows > 0 && !range.is_empty() && rel.arity() == atom.args.len())
+}
+
+/// The pair enumerator behind [`join_atom`] and the last join step of
+/// [`for_each_projection`]: hands every `(frontier row, relation row)`
+/// match of the atom shaped `s` against `batch`, within `range` of `rel`,
+/// to `emit`, through one of four probe paths (cross product, index
+/// probe, hash join built on the relation, hash join built on the
+/// frontier), and charges the work to `stats` under `pred`. Returns the
+/// match count and whether the pairs came in canonical ascending order,
+/// which every path but the one building on the frontier guarantees.
+/// The caller has checked the inputs with [`live_relation`].
+fn for_each_pair(
+    rel: &Relation,
+    batch: &BindingBatch,
+    s: &AtomShape,
+    pred: PredId,
     range: Range<usize>,
     stats: Option<&mut JoinStats>,
-) -> BindingBatch {
-    let s = shape(atom, batch);
-    let mut out_schema: Vec<VarId> = batch.schema.clone();
-    out_schema.extend(s.news.iter().map(|&(_, v)| v));
-    let Some(rel) = store.relation(atom.pred) else {
-        return BindingBatch::empty(out_schema);
-    };
-    if batch.rows == 0 || range.is_empty() || rel.arity() != atom.args.len() {
-        return BindingBatch::empty(out_schema);
-    }
+    mut emit: impl FnMut(u32, u32),
+) -> (u64, bool) {
     let timed = stats.is_some();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut matches = 0u64;
+    let mut emit = |r: u32, t: u32| {
+        matches += 1;
+        emit(r, t);
+    };
     if s.keys.is_empty() {
         // Cross product: filter the segment once, pair with every
         // frontier row in order.
         let timer = timed.then(crate::obs::SpanTimer::start);
         let matched: Vec<u32> =
-            range.clone().filter(|&t| row_passes(rel, t, &s)).map(|t| t as u32).collect();
+            range.clone().filter(|&t| row_passes(rel, t, s)).map(|t| t as u32).collect();
         for r in 0..batch.rows as u32 {
-            pairs.extend(matched.iter().map(|&t| (r, t)));
+            for &t in &matched {
+                emit(r, t);
+            }
         }
         if let Some(stats) = stats {
             let ns = timer.map_or(0, |t| t.elapsed_ns());
-            stats.note_probe(atom.pred, range.len() as u64, pairs.len() as u64, ns);
+            stats.note_probe(pred, range.len() as u64, matches, ns);
         }
-        return gather(batch, rel, &s, &pairs);
+        return (matches, true);
     }
     if range.len() >= INDEX_PROBE_FACTOR.saturating_mul(batch.rows) {
         // Index probe: per frontier row, walk the shortest posting list
@@ -399,33 +422,34 @@ pub fn join_atom(
             for t in list.within(range.clone()) {
                 probed += 1;
                 let t_us = t as usize;
-                if row_passes(rel, t_us, &s)
+                if row_passes(rel, t_us, s)
                     && s.keys.iter().all(|&(pos, slot)| rel.get(t_us, pos) == batch.get(r, slot))
                 {
-                    pairs.push((r as u32, t));
+                    emit(r as u32, t);
                 }
             }
         }
         if let Some(stats) = stats {
             let ns = timer.map_or(0, |t| t.elapsed_ns());
-            stats.note_probe(atom.pred, probed, pairs.len() as u64, ns);
+            stats.note_probe(pred, probed, matches, ns);
         }
-        return gather(batch, rel, &s, &pairs);
+        return (matches, true);
     }
     // Hash join, table on the smaller side.
     let packed = s.keys.len() <= 2;
-    if range.len() <= batch.rows {
+    let build_on_relation = range.len() <= batch.rows;
+    let build_timer = timed.then(crate::obs::SpanTimer::start);
+    if build_on_relation {
         // Build on the relation segment, probe frontier rows in order.
-        let build_timer = timed.then(crate::obs::SpanTimer::start);
         let table = if packed {
             let mut t: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for row in range.clone().filter(|&t| row_passes(rel, t, &s)) {
+            for row in range.clone().filter(|&t| row_passes(rel, t, s)) {
                 t.entry(rel_key_packed(rel, row, &s.keys)).or_default().push(row as u32);
             }
             Table::Packed(t)
         } else {
             let mut t: FxHashMap<Vec<ConstId>, Vec<u32>> = FxHashMap::default();
-            for row in range.clone().filter(|&t| row_passes(rel, t, &s)) {
+            for row in range.clone().filter(|&t| row_passes(rel, t, s)) {
                 let key: Vec<ConstId> = s.keys.iter().map(|&(pos, _)| rel.get(row, pos)).collect();
                 t.entry(key).or_default().push(row as u32);
             }
@@ -442,20 +466,18 @@ pub fn join_atom(
                     t.get(&key)
                 }
             };
-            if let Some(hits) = hits {
-                pairs.extend(hits.iter().map(|&t| (r as u32, t)));
+            for &t in hits.into_iter().flatten() {
+                emit(r as u32, t);
             }
         }
         if let Some(stats) = stats {
-            stats.note_build(atom.pred, range.len() as u64, build_ns);
+            stats.note_build(pred, range.len() as u64, build_ns);
             let ns = probe_timer.map_or(0, |t| t.elapsed_ns());
-            stats.note_probe(atom.pred, batch.rows as u64, pairs.len() as u64, ns);
+            stats.note_probe(pred, batch.rows as u64, matches, ns);
         }
     } else {
-        // Build on the frontier, probe the relation segment, then restore
-        // canonical order (probing ascends in relation rows, so sorting
-        // by the pair is a cheap near-sorted pass).
-        let build_timer = timed.then(crate::obs::SpanTimer::start);
+        // Build on the frontier, probe the relation segment: the pairs
+        // ascend in relation rows, not in frontier rows.
         let table = if packed {
             let mut t: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
             for r in 0..batch.rows {
@@ -473,7 +495,7 @@ pub fn join_atom(
         };
         let build_ns = build_timer.map_or(0, |t| t.elapsed_ns());
         let probe_timer = timed.then(crate::obs::SpanTimer::start);
-        for row in range.clone().filter(|&t| row_passes(rel, t, &s)) {
+        for row in range.clone().filter(|&t| row_passes(rel, t, s)) {
             let hits = match &table {
                 Table::Packed(t) => t.get(&rel_key_packed(rel, row, &s.keys)),
                 Table::Wide(t) => {
@@ -482,61 +504,137 @@ pub fn join_atom(
                     t.get(&key)
                 }
             };
-            if let Some(hits) = hits {
-                pairs.extend(hits.iter().map(|&r| (r, row as u32)));
+            for &r in hits.into_iter().flatten() {
+                emit(r, row as u32);
             }
         }
-        pairs.sort_unstable();
         if let Some(stats) = stats {
-            stats.note_build(atom.pred, batch.rows as u64, build_ns);
+            stats.note_build(pred, batch.rows as u64, build_ns);
             let ns = probe_timer.map_or(0, |t| t.elapsed_ns());
-            stats.note_probe(atom.pred, range.len() as u64, pairs.len() as u64, ns);
+            stats.note_probe(pred, range.len() as u64, matches, ns);
         }
+    }
+    (matches, build_on_relation)
+}
+
+/// Extends every row of `batch` against `atom`, restricted to the
+/// relation rows in `range` (the live segment: the whole relation, the
+/// delta tail, or the pre-delta prefix in semi-naive rounds). Output
+/// rows appear in canonical `(frontier row, relation row)` order; the
+/// output schema is the input schema plus the atom's new variables in
+/// first-occurrence order.
+pub fn join_atom(
+    store: &ColumnarStore,
+    batch: &BindingBatch,
+    atom: &Atom,
+    range: Range<usize>,
+    stats: Option<&mut JoinStats>,
+) -> BindingBatch {
+    let s = shape(atom, batch);
+    let Some(rel) = live_relation(store, batch, atom, &range) else {
+        let mut schema = batch.schema.clone();
+        schema.extend(s.news.iter().map(|&(_, v)| v));
+        return BindingBatch::empty(schema);
+    };
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let (_, canonical) =
+        for_each_pair(rel, batch, &s, atom.pred, range, stats, |r, t| pairs.push((r, t)));
+    if !canonical {
+        // Probing ascended in relation rows, so this is a cheap
+        // near-sorted pass.
+        pairs.sort_unstable();
     }
     gather(batch, rel, &s, &pairs)
 }
 
-/// Evaluates a whole rule body over the store: plans the atom order (the
-/// pinned atom, if any, restricted to its `range` segment and evaluated
-/// first) and folds [`join_atom`] left-deep over the frontier. The
-/// result's rows are exactly the body's homomorphisms (one row per
-/// distinct fact combination); an empty body yields the unit batch.
-/// Returns early — with a possibly partial schema — once the frontier
-/// empties.
-pub fn eval_body(
-    store: &ColumnarStore,
-    body: &[Atom],
-    pinned: Option<(usize, Range<usize>)>,
-    stats: Option<&mut JoinStats>,
-) -> BindingBatch {
-    eval_body_with_priors(store, body, pinned, stats, None)
+/// The rows body atom `j` reads in the semi-naive item pinned at body
+/// atom `pin`, for a relation of `rows` rows whose first `old_end` rows
+/// predate the delta: atoms before the pin read that old prefix, the
+/// pinned atom the delta `old_end..rows`, atoms after it the whole
+/// relation. Over all pins, a match that uses a delta row is then
+/// enumerated exactly once, by its first delta atom.
+pub fn seminaive_range(j: usize, pin: usize, old_end: usize, rows: usize) -> Range<usize> {
+    match j.cmp(&pin) {
+        std::cmp::Ordering::Less => 0..old_end,
+        std::cmp::Ordering::Equal => old_end..rows,
+        std::cmp::Ordering::Greater => 0..rows,
+    }
 }
 
-/// [`eval_body`] planning with the static cardinality priors of
-/// [`plan_with_priors`]. The *set* of result rows is identical for any
-/// priors (only the join order, and hence the row order within the
-/// canonical contract, may differ among runtime-cardinality ties).
-pub fn eval_body_with_priors(
+/// Where a projected variable's value comes from at the last join step.
+#[derive(Clone, Copy)]
+enum ProjSrc<'a> {
+    /// A column of the incoming frontier, indexed by frontier row.
+    Frontier(&'a [ConstId]),
+    /// A column of the last atom's relation, indexed by relation row.
+    Relation(&'a [ConstId]),
+}
+
+/// Evaluates a rule body over the store and hands each match's values of
+/// the `project` variables, in that order, to `sink`; returns the number
+/// of matches. Body atom `i` reads the rows `range(i)` of its relation.
+/// [`plan_with_priors`] orders the body, with the `lead` atom (the
+/// semi-naive pin) first, and [`join_atom`] folds every atom but the last
+/// into a [`BindingBatch`]. The last atom builds no batch: its matches go
+/// to the sink as they are found, in no canonical order (consumers that
+/// need one sort what they keep). The matches are exactly the body's
+/// homomorphisms within the ranges, one per distinct fact combination;
+/// an empty body has one match. Every `project` variable must occur in
+/// the body.
+pub fn for_each_projection(
     store: &ColumnarStore,
     body: &[Atom],
-    pinned: Option<(usize, Range<usize>)>,
+    lead: Option<usize>,
+    range: impl Fn(usize) -> Range<usize>,
+    project: &[VarId],
     mut stats: Option<&mut JoinStats>,
     priors: Option<&Priors>,
-) -> BindingBatch {
-    let order =
-        plan_with_priors(body, pinned.as_ref().map(|&(i, _)| i), |p| store.rows(p), priors);
+    mut sink: impl FnMut(&[ConstId]),
+) -> u64 {
+    let order = plan_with_priors(body, lead, |p| store.rows(p), priors);
+    let Some((&last, init)) = order.split_last() else {
+        assert!(project.is_empty(), "an empty body binds no variable");
+        sink(&[]);
+        return 1;
+    };
     let mut batch = BindingBatch::unit();
-    for &ai in &order {
-        let range = match &pinned {
-            Some((pi, r)) if *pi == ai => r.clone(),
-            _ => 0..store.rows(body[ai].pred),
-        };
-        batch = join_atom(store, &batch, &body[ai], range, stats.as_deref_mut());
+    for &ai in init {
+        batch = join_atom(store, &batch, &body[ai], range(ai), stats.as_deref_mut());
         if batch.rows == 0 {
-            return batch;
+            return 0;
         }
     }
-    batch
+    let atom = &body[last];
+    let last_range = range(last);
+    let Some(rel) = live_relation(store, &batch, atom, &last_range) else {
+        return 0;
+    };
+    let s = shape(atom, &batch);
+    let srcs: Vec<ProjSrc> = project
+        .iter()
+        .map(|&v| match batch.col_of(v) {
+            Some(slot) => ProjSrc::Frontier(batch.col(slot)),
+            None => {
+                let &(pos, _) = s
+                    .news
+                    .iter()
+                    .find(|&&(_, nv)| nv == v)
+                    .expect("projected variable occurs in the body");
+                ProjSrc::Relation(rel.col(pos))
+            }
+        })
+        .collect();
+    let mut vals = vec![ConstId(0); srcs.len()];
+    let (matches, _) = for_each_pair(rel, &batch, &s, atom.pred, last_range, stats, |r, t| {
+        for (val, src) in vals.iter_mut().zip(&srcs) {
+            *val = match *src {
+                ProjSrc::Frontier(col) => col[r as usize],
+                ProjSrc::Relation(col) => col[t as usize],
+            };
+        }
+        sink(&vals);
+    });
+    matches
 }
 
 #[cfg(test)]
@@ -568,6 +666,31 @@ mod tests {
             .collect();
         out.sort_unstable();
         out
+    }
+
+    /// The projecting evaluator's matches projected on `vars`, sorted,
+    /// with atom `i` reading `range(i)`.
+    fn projected(
+        store: &ColumnarStore,
+        body: &[Atom],
+        lead: Option<usize>,
+        range: impl Fn(usize) -> Range<usize>,
+        vars: &[VarId],
+        stats: Option<&mut JoinStats>,
+    ) -> Vec<Vec<ConstId>> {
+        let mut out = Vec::new();
+        let n = for_each_projection(store, body, lead, range, vars, stats, None, |v| {
+            out.push(v.to_vec())
+        });
+        assert_eq!(n as usize, out.len(), "the match count is the number of sink calls");
+        out.sort_unstable();
+        out
+    }
+
+    /// [`projected`] with every atom over its whole relation, unpinned.
+    fn kernel_homs(inst: &Instance, body: &[Atom], vars: &[VarId]) -> Vec<Vec<ConstId>> {
+        let store = inst.columnar();
+        projected(store, body, None, |i| 0..store.rows(body[i].pred), vars, None)
     }
 
     fn graph(voc: &mut Vocabulary, edges: &[(usize, usize)]) -> Instance {
@@ -629,8 +752,11 @@ mod tests {
             Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
             Atom::new(e, vec![Term::Var(y), Term::Var(z)]),
         ];
-        let batch = eval_body(inst.columnar(), &body, None, None);
-        assert_eq!(batch_homs(&batch, &[x, y, z]), oracle_homs(&inst, &body, &[x, y, z]));
+        assert_eq!(kernel_homs(&inst, &body, &[x, y, z]), oracle_homs(&inst, &body, &[x, y, z]));
+        // Projections keep multiplicity: one entry per match, in the
+        // requested variable order.
+        assert_eq!(kernel_homs(&inst, &body, &[z, x]), oracle_homs(&inst, &body, &[z, x]));
+        assert_eq!(kernel_homs(&inst, &body, &[]).len(), oracle_homs(&inst, &body, &[]).len());
     }
 
     #[test]
@@ -672,31 +798,140 @@ mod tests {
     }
 
     #[test]
+    fn projecting_evaluator_takes_each_probe_path() {
+        // Body E(X,Y), A: the pinned E atom reads rows 0..seed_hi and so
+        // fixes the frontier size, A reads 0..probe_hi. Each case picks
+        // one of the four probe paths, which the build/probe counters
+        // identify, and must project exactly the nested-loop matches.
+        let mut voc = Vocabulary::new();
+        let edges: Vec<(usize, usize)> = (0..40).map(|i| (i % 7, (i * 3 + 1) % 11)).collect();
+        let inst = graph(&mut voc, &edges);
+        let e = voc.find_pred("E").unwrap();
+        let (x, y, z) = (voc.var("X"), voc.var("Y"), voc.var("Z"));
+        let first = Atom::new(e, vec![Term::Var(x), Term::Var(y)]);
+        let joined = Atom::new(e, vec![Term::Var(y), Term::Var(z)]);
+        let crossed = Atom::new(e, vec![Term::Var(z), Term::Var(z)]);
+        // The matches of [E(X,Y), second] with E over rows 0..seed_hi and
+        // `second` over 0..probe_hi, by nested loops, projected on `vars`.
+        let rel = inst.columnar().relation(e).unwrap();
+        let nested_loop = |second: &Atom, seed_hi: usize, probe_hi: usize, vars: &[VarId]| {
+            let mut out: Vec<Vec<ConstId>> = Vec::new();
+            for r in 0..seed_hi {
+                for t in 0..probe_hi {
+                    let mut b: FxHashMap<VarId, ConstId> = FxHashMap::default();
+                    b.insert(x, rel.get(r, 0));
+                    b.insert(y, rel.get(r, 1));
+                    let ok = second.args.iter().enumerate().all(|(pos, term)| match term {
+                        Term::Const(c) => rel.get(t, pos) == *c,
+                        Term::Var(v) => *b.entry(*v).or_insert(rel.get(t, pos)) == rel.get(t, pos),
+                    });
+                    if ok {
+                        out.push(vars.iter().map(|v| b[v]).collect());
+                    }
+                }
+            }
+            out.sort_unstable();
+            out
+        };
+        // (name, second atom, seed rows, probe rows, expected builds on E
+        // by the last step, build rows of that step)
+        let cases = [
+            ("cross product", &crossed, 3, 40, 0, 0),
+            ("index probe", &joined, 2, 40, 0, 0),
+            ("hash join built on the relation", &joined, 30, 10, 1, 10),
+            ("hash join built on the frontier", &joined, 10, 40, 1, 10),
+        ];
+        for (name, second, seed_hi, probe_hi, builds, build_rows) in cases {
+            let body = vec![first.clone(), second.clone()];
+            let range = |i: usize| if i == 0 { 0..seed_hi } else { 0..probe_hi };
+            for vars in [vec![x, y, z], vec![z, x], vec![y], vec![]] {
+                let mut stats = JoinStats::default();
+                let got =
+                    projected(inst.columnar(), &body, Some(0), range, &vars, Some(&mut stats));
+                let expect = nested_loop(second, seed_hi, probe_hi, &vars);
+                assert!(!expect.is_empty(), "{name}: the case has matches");
+                assert_eq!(got, expect, "{name}: projection on {vars:?}");
+                // The seed scan is a cross product against the unit
+                // frontier; every build is the last step's.
+                let c = stats.sorted()[0].1;
+                assert_eq!((c.builds, c.build_rows), (builds, build_rows), "{name}: probe path");
+                assert_eq!(c.probes, 2, "{name}");
+                assert_eq!(c.matches as usize, seed_hi + got.len(), "{name}");
+            }
+        }
+        // The index probe reads posting entries, not the whole segment.
+        let body = vec![first.clone(), joined.clone()];
+        let mut stats = JoinStats::default();
+        let range = |i: usize| if i == 0 { 0..2 } else { 0..40 };
+        projected(inst.columnar(), &body, Some(0), range, &[x], Some(&mut stats));
+        assert!(stats.sorted()[0].1.probe_rows < 2 + 2 * 40);
+    }
+
+    #[test]
+    fn old_delta_full_ranges_count_each_delta_match_once() {
+        // Semi-naive ranges over every split point: over the pins, every
+        // match with at least one fact past the split comes out exactly
+        // once.
+        let mut voc = Vocabulary::new();
+        let inst = graph(&mut voc, &[(0, 1), (1, 2), (2, 3), (3, 1), (1, 3), (2, 2), (3, 0)]);
+        let e = voc.find_pred("E").unwrap();
+        let (x, y, z, w) = (voc.var("X"), voc.var("Y"), voc.var("Z"), voc.var("W"));
+        let body = vec![
+            Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
+            Atom::new(e, vec![Term::Var(y), Term::Var(z)]),
+            Atom::new(e, vec![Term::Var(z), Term::Var(w)]),
+        ];
+        let vars = [x, y, z, w];
+        let rows = inst.columnar().rows(e);
+        let rel = inst.columnar().relation(e).unwrap();
+        let all = oracle_homs(&inst, &body, &vars);
+        for split in 0..=rows {
+            let late = |a: ConstId, b: ConstId| {
+                (split..rows).any(|t| rel.get(t, 0) == a && rel.get(t, 1) == b)
+            };
+            let expect: Vec<Vec<ConstId>> = all
+                .iter()
+                .filter(|h| late(h[0], h[1]) || late(h[1], h[2]) || late(h[2], h[3]))
+                .cloned()
+                .collect();
+            let mut got = Vec::new();
+            for pin in 0..body.len() {
+                let range = |i: usize| seminaive_range(i, pin, split, rows);
+                got.extend(projected(inst.columnar(), &body, Some(pin), range, &vars, None));
+            }
+            got.sort_unstable();
+            assert_eq!(got, expect, "split {split}");
+        }
+    }
+
+    #[test]
     fn canonical_order_is_frontier_major() {
         // Output rows come in (frontier row, relation row) order on every
-        // strategy; with the frontier seeded in relation order this means
-        // the first output column is non-decreasing.
+        // strategy; with the frontier seeded in relation order the output
+        // keeps that outer order (stably).
         let mut voc = Vocabulary::new();
         let inst = graph(&mut voc, &[(0, 1), (0, 2), (1, 2), (2, 0), (2, 1), (1, 0)]);
         let e = voc.find_pred("E").unwrap();
         let (x, y, z) = (voc.var("X"), voc.var("Y"), voc.var("Z"));
-        let body = vec![
-            Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
-            Atom::new(e, vec![Term::Var(y), Term::Var(z)]),
-        ];
-        let batch = eval_body(inst.columnar(), &body, None, None);
-        let xs = batch.col(batch.col_of(x).unwrap());
-        let ys = batch.col(batch.col_of(y).unwrap());
-        let pairs: Vec<(ConstId, ConstId)> =
-            xs.iter().copied().zip(ys.iter().copied()).collect();
-        let mut sorted_by_seed = pairs.clone();
-        // The frontier enumerated E rows in order; the output must keep
-        // that outer order (stably).
+        let first = Atom::new(e, vec![Term::Var(x), Term::Var(y)]);
+        let second = Atom::new(e, vec![Term::Var(y), Term::Var(z)]);
+        let rows = inst.columnar().rows(e);
         let rel = inst.columnar().relation(e).unwrap();
         let seed_order: Vec<(ConstId, ConstId)> =
             (0..rel.rows()).map(|t| (rel.get(t, 0), rel.get(t, 1))).collect();
-        sorted_by_seed.sort_by_key(|p| seed_order.iter().position(|q| q == p).unwrap());
-        assert_eq!(pairs, sorted_by_seed);
+        let seed = join_atom(inst.columnar(), &BindingBatch::unit(), &first, 0..rows, None);
+        // Probe segments of 2..=6 rows against 6 frontier rows take both
+        // hash-join paths.
+        for probe_hi in 2..=rows {
+            let batch = join_atom(inst.columnar(), &seed, &second, 0..probe_hi, None);
+            let xs = batch.col(batch.col_of(x).unwrap());
+            let ys = batch.col(batch.col_of(y).unwrap());
+            let pairs: Vec<(ConstId, ConstId)> =
+                xs.iter().copied().zip(ys.iter().copied()).collect();
+            let mut sorted_by_seed = pairs.clone();
+            sorted_by_seed.sort_by_key(|p| seed_order.iter().position(|q| q == p).unwrap());
+            assert_eq!(pairs, sorted_by_seed, "probe rows 0..{probe_hi}");
+        }
     }
 
     #[test]
@@ -708,13 +943,12 @@ mod tests {
         let c1 = voc.find_const("c1").unwrap();
         // E(X,X): only the self-loops.
         let diag = vec![Atom::new(e, vec![Term::Var(x), Term::Var(x)])];
-        let batch = eval_body(inst.columnar(), &diag, None, None);
-        assert_eq!(batch_homs(&batch, &[x]), oracle_homs(&inst, &diag, &[x]));
-        assert_eq!(batch.rows(), 2);
+        let got = kernel_homs(&inst, &diag, &[x]);
+        assert_eq!(got, oracle_homs(&inst, &diag, &[x]));
+        assert_eq!(got.len(), 2);
         // E(X,c1): constant in the second position.
         let to1 = vec![Atom::new(e, vec![Term::Var(x), Term::Const(c1)])];
-        let batch = eval_body(inst.columnar(), &to1, None, None);
-        assert_eq!(batch_homs(&batch, &[x]), oracle_homs(&inst, &to1, &[x]));
+        assert_eq!(kernel_homs(&inst, &to1, &[x]), oracle_homs(&inst, &to1, &[x]));
         // Bound repeated variable: frontier binds X, then E(X,X) keys on
         // both positions.
         let u = voc.pred("U", 1);
@@ -725,8 +959,7 @@ mod tests {
             Atom::new(u, vec![Term::Var(x)]),
             Atom::new(e, vec![Term::Var(x), Term::Var(x)]),
         ];
-        let batch = eval_body(inst.columnar(), &body, None, None);
-        assert_eq!(batch_homs(&batch, &[x]), oracle_homs(&inst, &body, &[x]));
+        assert_eq!(kernel_homs(&inst, &body, &[x]), oracle_homs(&inst, &body, &[x]));
     }
 
     #[test]
@@ -738,9 +971,10 @@ mod tests {
         let (x, y) = (voc.var("X"), voc.var("Y"));
         // Unknown predicate: no rows, schema still extends.
         let body = vec![Atom::new(missing, vec![Term::Var(x)])];
-        let batch = eval_body(inst.columnar(), &body, None, None);
+        let batch = join_atom(inst.columnar(), &BindingBatch::unit(), &body[0], 0..0, None);
         assert_eq!(batch.rows(), 0);
         assert_eq!(batch.schema(), &[x]);
+        assert!(kernel_homs(&inst, &body, &[x]).is_empty());
         // Empty segment of a known predicate.
         let edge = Atom::new(e, vec![Term::Var(x), Term::Var(y)]);
         let batch = join_atom(inst.columnar(), &BindingBatch::unit(), &edge, 0..0, None);
@@ -750,8 +984,11 @@ mod tests {
         let batch = join_atom(inst.columnar(), &empty, &edge, 0..1, None);
         assert_eq!(batch.rows(), 0);
         assert_eq!(batch.schema(), &[x, y]);
-        // Empty body: the unit frontier.
-        assert_eq!(eval_body(inst.columnar(), &[], None, None).rows(), 1);
+        // An empty frontier before the last step: no match.
+        let body = vec![Atom::new(missing, vec![Term::Var(x)]), edge.clone()];
+        assert!(kernel_homs(&inst, &body, &[x, y]).is_empty());
+        // Empty body: one empty match.
+        assert_eq!(kernel_homs(&inst, &[], &[]), vec![Vec::<ConstId>::new()]);
     }
 
     #[test]
@@ -771,16 +1008,15 @@ mod tests {
             Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
             Atom::new(u, vec![Term::Var(z)]),
         ];
-        let batch = eval_body(inst.columnar(), &body, None, None);
-        assert_eq!(batch.rows(), 6);
-        assert_eq!(batch_homs(&batch, &[x, y, z]), oracle_homs(&inst, &body, &[x, y, z]));
+        let got = kernel_homs(&inst, &body, &[x, y, z]);
+        assert_eq!(got.len(), 6);
+        assert_eq!(got, oracle_homs(&inst, &body, &[x, y, z]));
     }
 
     #[test]
     fn pinned_segments_partition_the_join() {
-        // Semi-naive contract: summing rows over (pin, delta-segment)
-        // work items with the complementary "old" segments equals... at
-        // minimum, pinning the full range equals the unpinned join.
+        // Pinning the full range equals the unpinned join, and a strict
+        // tail segment yields a subset.
         let mut voc = Vocabulary::new();
         let inst = graph(&mut voc, &[(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]);
         let e = voc.find_pred("E").unwrap();
@@ -790,14 +1026,14 @@ mod tests {
             Atom::new(e, vec![Term::Var(y), Term::Var(z)]),
         ];
         let rows = inst.columnar().rows(e);
-        let full = eval_body(inst.columnar(), &body, None, None);
+        let store = inst.columnar();
+        let all = kernel_homs(&inst, &body, &[x, y, z]);
         for pin in 0..2 {
-            let pinned = eval_body(inst.columnar(), &body, Some((pin, 0..rows)), None);
-            assert_eq!(batch_homs(&pinned, &[x, y, z]), batch_homs(&full, &[x, y, z]));
-            // A strict tail segment yields a subset.
-            let tail = eval_body(inst.columnar(), &body, Some((pin, rows - 2..rows)), None);
-            let all = batch_homs(&full, &[x, y, z]);
-            assert!(batch_homs(&tail, &[x, y, z]).iter().all(|h| all.contains(h)));
+            let pinned = projected(store, &body, Some(pin), |_| 0..rows, &[x, y, z], None);
+            assert_eq!(pinned, all);
+            let tail = |i: usize| if i == pin { rows - 2..rows } else { 0..rows };
+            let tail = projected(store, &body, Some(pin), tail, &[x, y, z], None);
+            assert!(tail.iter().all(|h| all.contains(h)));
         }
     }
 
@@ -818,8 +1054,7 @@ mod tests {
             Atom::new(t, vec![Term::Var(x), Term::Var(y), Term::Var(z)]),
             Atom::new(t, vec![Term::Var(y), Term::Var(z), Term::Var(x)]),
         ];
-        let batch = eval_body(inst.columnar(), &body, None, None);
-        assert_eq!(batch_homs(&batch, &[x, y, z]), oracle_homs(&inst, &body, &[x, y, z]));
+        assert_eq!(kernel_homs(&inst, &body, &[x, y, z]), oracle_homs(&inst, &body, &[x, y, z]));
     }
 
     #[test]
@@ -832,14 +1067,16 @@ mod tests {
             Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
             Atom::new(e, vec![Term::Var(y), Term::Var(z)]),
         ];
+        let store = inst.columnar();
         let run = || {
             let mut stats = JoinStats::default();
-            let batch = eval_body(inst.columnar(), &body, None, Some(&mut stats));
-            (batch, stats)
+            let full = |i: usize| 0..store.rows(body[i].pred);
+            let homs = projected(store, &body, None, full, &[x, y, z], Some(&mut stats));
+            (homs, stats)
         };
-        let (b1, s1) = run();
-        let (b2, s2) = run();
-        assert_eq!(b1, b2);
+        let (h1, s1) = run();
+        let (h2, s2) = run();
+        assert_eq!(h1, h2);
         // Counts are pure functions of the input; only the ns gauges may
         // differ between runs.
         let strip = |s: &JoinStats| {
@@ -854,8 +1091,8 @@ mod tests {
         let (pred, c) = rows[0];
         assert_eq!(pred, e);
         // Matches accumulate across both E probes: the seed scan emits one
-        // row per E fact, the join emits the final frontier.
-        assert_eq!(c.matches as usize, inst.columnar().rows(e) + b1.rows());
+        // row per E fact, the last step one per body match.
+        assert_eq!(c.matches as usize, store.rows(e) + h1.len());
         assert!(c.probes >= 2);
         // Merging doubles every count.
         let mut merged = JoinStats::default();

@@ -13,7 +13,7 @@
 //! | `chase_restricted_embeds` | restricted chase embeds homomorphically into oblivious |
 //! | `chase_certainty_strategy_blind` | `certain_ucq` verdicts + depth `k` across strategies |
 //! | `chase_thread_invariance` | chase outputs + obs counters at `BDDFC_THREADS` ∈ {1,2,7} |
-//! | `join_kernel_vs_hom` | join-kernel rows vs `hom` bindings per rule body (unpinned + pinned tails), plus `hom` model check of the chase fixpoint |
+//! | `join_kernel_vs_hom` | join-kernel matches vs `hom` bindings per rule body (unpinned, pinned tails, semi-naive old/delta/full items at a split; full rows and frontier projections), plus `hom` model check of the chase fixpoint |
 //! | `classes_witness_oracle` | witness-producing recognizers vs legacy boolean oracles |
 //! | `rewrite_vs_chase` | UCQ-rewriting certain answers vs chase certain answers |
 //! | `lint_stability` | linting is deterministic and panic-free |
@@ -445,19 +445,24 @@ fn chase_thread_invariance(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> P
 /// bindings of a body over such an instance do not fit in memory.
 const JOIN_ORACLE_CAP: usize = 1 << 16;
 
-/// `join_kernel_vs_hom`: the batch join kernel agrees with the
-/// backtracking `hom` search at the kernel seam. The case is chased once;
-/// on the chased instance, for every rule body, the sorted multiset of
-/// [`join::eval_body`] rows (projected to the body variables) must equal
-/// [`hom::for_each_hom`]'s bindings — unpinned, and with each body atom
-/// pinned to a seeded tail segment of its relation (the `hom` side keeps
-/// the bindings whose grounded pinned atom lies in that segment). When
-/// the chase reached a fixpoint, the result must also satisfy the theory
-/// by `hom`-based model checking, which keeps an end-to-end check that
-/// does not go through the kernel. The mutation runs on the kernel side:
-/// both the chase and the kernel evaluations use the mutated theory. A
-/// rule body with more than `JOIN_ORACLE_CAP` bindings is skipped and
-/// reported on stderr.
+/// `join_kernel_vs_hom`: the join kernel agrees with the backtracking
+/// `hom` search at the kernel seam. The case is chased once; on the
+/// chased instance, for every rule body, the sorted multiset of
+/// [`join::for_each_projection`] matches must equal
+/// [`hom::for_each_hom`]'s bindings, both projected on the body
+/// variables and on the rule's frontier — unpinned, and with each body
+/// atom pinned to a seeded tail segment of its relation (the `hom` side
+/// keeps the bindings whose grounded pinned atom lies in that segment).
+/// Then, at a seeded split point of the instance, the semi-naive items
+/// (pinned at atom `i`: atoms before `i` read the facts before the
+/// split, atom `i` those after it, atoms after `i` everything) must
+/// together yield exactly the `hom` bindings that use a fact after the
+/// split, each once. When the chase reached a fixpoint, the result must
+/// also satisfy the theory by `hom`-based model checking, which keeps an
+/// end-to-end check that does not go through the kernel. The mutation
+/// runs on the kernel side: both the chase and the kernel evaluations
+/// use the mutated theory. A rule body with more than `JOIN_ORACLE_CAP`
+/// bindings is skipped and reported on stderr.
 fn join_kernel_vs_hom(case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropResult {
     let mutated = ctx.mutation.apply(&prog.theory);
     let cfg = chase_config(ctx, ChaseVariant::Restricted, ChaseStrategy::SemiNaive);
@@ -474,6 +479,8 @@ fn join_kernel_vs_hom(case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropRes
     for (i, rule) in prog.theory.rules.iter().enumerate() {
         let mut vars: Vec<VarId> = rule.body_vars().into_iter().collect();
         vars.sort_unstable();
+        let mut frontier: Vec<VarId> = rule.frontier().into_iter().collect();
+        frontier.sort_unstable();
         let mut oracle: Vec<Vec<ConstId>> = Vec::new();
         let capped = hom::for_each_hom(inst, &rule.body, &Binding::default(), |b| {
             oracle.push(vars.iter().map(|v| b[v]).collect());
@@ -493,60 +500,109 @@ fn join_kernel_vs_hom(case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> PropRes
             continue;
         }
         oracle.sort_unstable();
-        // A rule the mutation dropped yields no kernel rows at all.
-        let kernel = |pinned: Option<(usize, Range<usize>)>| -> Vec<Vec<ConstId>> {
+        let ground = |row: &[ConstId], atom: &Atom| -> Fact {
+            let args: Vec<ConstId> = atom
+                .args
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => *c,
+                    Term::Var(v) => row[vars.binary_search(v).expect("body variable")],
+                })
+                .collect();
+            Fact::new(atom.pred, args)
+        };
+        // Sorted oracle rows projected on the frontier.
+        let on_frontier = |rows: &[Vec<ConstId>]| -> Vec<Vec<ConstId>> {
+            let slots: Vec<usize> =
+                frontier.iter().map(|v| vars.binary_search(v).expect("frontier var")).collect();
+            let mut out: Vec<Vec<ConstId>> =
+                rows.iter().map(|row| slots.iter().map(|&s| row[s]).collect()).collect();
+            out.sort_unstable();
+            out
+        };
+        // The kernel's sorted matches projected on `project`, atom `j`
+        // reading rows `range(j)`. A rule the mutation dropped yields no
+        // kernel rows at all.
+        let kernel = |lead: Option<usize>,
+                      range: &dyn Fn(usize) -> Range<usize>,
+                      project: &[VarId]|
+         -> Vec<Vec<ConstId>> {
             let Some(krule) = mutated.rules.get(i) else {
                 return Vec::new();
             };
-            let batch = join::eval_body(store, &krule.body, pinned, None);
-            if batch.rows() == 0 {
-                return Vec::new();
-            }
-            let slots: Vec<usize> = vars
-                .iter()
-                .map(|&v| batch.col_of(v).expect("non-empty batch binds every body var"))
-                .collect();
-            let mut rows: Vec<Vec<ConstId>> = (0..batch.rows())
-                .map(|r| slots.iter().map(|&s| batch.get(r, s)).collect())
-                .collect();
+            let mut rows = Vec::new();
+            join::for_each_projection(store, &krule.body, lead, range, project, None, None, |v| {
+                rows.push(v.to_vec())
+            });
             rows.sort_unstable();
             rows
         };
+        let kbody = mutated.rules.get(i).map_or(&rule.body, |r| &r.body);
+        let full = |j: usize| 0..store.rows(kbody[j].pred);
         ensure_eq(
             oracle.clone(),
-            kernel(None),
+            kernel(None, &full, &vars),
             &format!("rule {i}: unpinned kernel rows vs hom"),
+        )?;
+        ensure_eq(
+            on_frontier(&oracle),
+            kernel(None, &full, &frontier),
+            &format!("rule {i}: unpinned kernel frontier projections vs hom"),
         )?;
         for (pin, atom) in rule.body.iter().enumerate() {
             let facts = inst.facts_with_pred(atom.pred);
             let start = rng.below(facts.len() + 1);
             let tail: FxHashSet<&Fact> = facts[start..].iter().map(|&f| inst.fact(f)).collect();
-            let expect: Vec<Vec<ConstId>> = oracle
-                .iter()
-                .filter(|row| {
-                    let args = atom
-                        .args
-                        .iter()
-                        .map(|t| match t {
-                            Term::Const(c) => *c,
-                            Term::Var(v) => row[vars.binary_search(v).expect("body variable")],
-                        })
-                        .collect();
-                    tail.contains(&Fact::new(atom.pred, args))
-                })
-                .cloned()
-                .collect();
+            let expect: Vec<Vec<ConstId>> =
+                oracle.iter().filter(|row| tail.contains(&ground(row, atom))).cloned().collect();
             // The kernel pins its own atom at `pin` (a mutation may have
             // moved it), restricted to the same-length tail.
-            let kpred = mutated.rules.get(i).map_or(atom.pred, |r| r.body[pin].pred);
-            let rows = store.rows(kpred);
+            let rows = store.rows(kbody[pin].pred);
             let seg = rows - (facts.len() - start).min(rows)..rows;
+            let pinned = |j: usize| if j == pin { seg.clone() } else { full(j) };
+            ensure_eq(
+                on_frontier(&expect),
+                kernel(Some(pin), &pinned, &frontier),
+                &format!(
+                    "rule {i}: kernel frontier projections with atom {pin} pinned to rows \
+                     {start}.. vs hom"
+                ),
+            )?;
             ensure_eq(
                 expect,
-                kernel(Some((pin, seg))),
+                kernel(Some(pin), &pinned, &vars),
                 &format!("rule {i}: kernel rows with atom {pin} pinned to rows {start}.. vs hom"),
             )?;
         }
+        // Semi-naive items at a split point of the instance: the rows of
+        // each relation before the split are its old prefix.
+        let split = rng.below(inst.len() + 1);
+        let late: FxHashSet<&Fact> = inst.facts()[split..].iter().collect();
+        let expect: Vec<Vec<ConstId>> = oracle
+            .iter()
+            .filter(|row| rule.body.iter().any(|atom| late.contains(&ground(row, atom))))
+            .cloned()
+            .collect();
+        let old_end = |j: usize| {
+            store
+                .relation(kbody[j].pred)
+                .map_or(0, |rel| rel.ids().partition_point(|&id| id < split))
+        };
+        let mut got: Vec<Vec<ConstId>> = Vec::new();
+        for pin in 0..kbody.len() {
+            let range = |j: usize| {
+                join::seminaive_range(j, pin, old_end(j), store.rows(kbody[j].pred))
+            };
+            got.extend(kernel(Some(pin), &range, &vars));
+        }
+        got.sort_unstable();
+        ensure_eq(
+            expect,
+            got,
+            &format!(
+                "rule {i}: semi-naive items at split {split} vs hom bindings touching the tail"
+            ),
+        )?;
     }
     Ok(())
 }

@@ -268,7 +268,7 @@ fn e11_reductions_preserve_certain_answers() {
         &mut voc,
     )
     .unwrap();
-    let red = to_ternary(&theory, &mut voc);
+    let mut red = to_ternary(&theory, &mut voc);
     let db_t = red.translate_instance(&db, &mut voc);
     let q = parse_query("S(a,W)", &mut voc).unwrap();
     let q_t = red.translate_query(&q, &mut voc);
