@@ -190,27 +190,19 @@ impl ChaseResult {
     }
 }
 
-/// One pending repair: a rule index plus the frontier key to repair. The
-/// `(rule_idx, key)` pair identifies the paper's trigger `(t, x̄)` and
-/// fixes the canonical application order; everything a repair grounds is
-/// a pure function of the pair (via the rule's [`RuleTemplate`]).
-struct Repair {
-    rule_idx: usize,
-    key: Key,
-}
-
-/// One candidate trigger emitted by the parallel enumeration phase.
-/// Deduplication and admission run later, sequentially, on the merged
-/// list — a trigger is a pure function of its `(rule, key)` pair, so
-/// first-occurrence dedup yields identical values at any shard split.
-struct Candidate {
+/// One trigger `(t, x̄)` of `Chase¹`: a rule index and the frontier key.
+/// Everything a trigger grounds is a pure function of it (via the rule's
+/// [`RuleTemplate`]), and its derived order — rule first, then key — is
+/// the canonical order a round's triggers are admitted and applied in.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct Trigger {
     rule_idx: usize,
     key: Key,
 }
 
 /// A compact frontier key: widths ≤ 2 (the overwhelmingly common case)
 /// pack into one machine word so per-row dedup, the oblivious fired set
-/// and the canonical repair sort hash and compare a `u64` instead of
+/// and the canonical trigger sort hash and compare a `u64` instead of
 /// allocating a heap vector per body match. The packed order
 /// `(a << 32) | b` compares like the unpacked `(a, b)` pair, so packed
 /// and wide keys induce the same canonical candidate order per rule (a
@@ -535,34 +527,27 @@ impl RoundWork {
     }
 }
 
-/// Applies the Restricted/Oblivious admission check to the deduplicated
-/// candidate triggers, in their merged (shard-boundary-independent)
-/// order. Witness checks (`head_satisfied`) are read-only joins against
-/// the frozen instance and run in parallel; the `fired` bookkeeping of
-/// the oblivious variant mutates shared state and stays sequential.
+/// Applies the Restricted/Oblivious admission check to the round's
+/// distinct candidate triggers and returns the admitted ones, keeping
+/// the candidates' canonical order. Witness checks (`head_satisfied`)
+/// are read-only joins against the frozen instance and run in parallel;
+/// the `fired` bookkeeping of the oblivious variant mutates shared state
+/// and stays sequential.
 fn admit_candidates(
     inst: &Instance,
     theory: &Theory,
     templates: &[RuleTemplate],
     variant: ChaseVariant,
-    fired: &mut FxHashSet<(usize, Key)>,
-    cands: Vec<Candidate>,
+    fired: &mut FxHashSet<Trigger>,
+    cands: Vec<Trigger>,
     work: &mut RoundWork,
-) -> Vec<Repair> {
+) -> Vec<Trigger> {
     work.candidates += cands.len() as u64;
-    // unwitnessed[i]: candidate i's head has no witness in the frozen
-    // instance (only consulted where the variant cares). Per-rule
-    // precompiled key templates replace the general hom search on common
-    // shapes and ground head atoms without building bindings.
-    //
-    // A rule is datalog iff its template has no existentials; consulting
-    // the template avoids rebuilding variable sets per candidate.
-    let is_dl: Vec<bool> = templates.iter().map(|t| t.ex.is_empty()).collect();
+    // A rule is datalog iff its template has no existentials.
+    let is_dl = |c: &Trigger| templates[c.rule_idx].ex.is_empty();
     work.witness_checks += match variant {
         ChaseVariant::Restricted => cands.len() as u64,
-        ChaseVariant::Oblivious => {
-            cands.iter().filter(|c| is_dl[c.rule_idx]).count() as u64
-        }
+        ChaseVariant::Oblivious => cands.iter().filter(|c| is_dl(c)).count() as u64,
     };
     // Witness projections for the rules whose admission will consult one
     // this round: single-special-atom existential rules under the
@@ -584,6 +569,8 @@ fn admit_candidates(
             _ => WitnessSet::Unused,
         })
         .collect();
+    // unwitnessed[i]: candidate i's head has no witness in the frozen
+    // instance (only consulted where the variant cares).
     let unwitnessed: Vec<bool> = par::par_map(&cands, cands.len(), |c| {
         let rule = &theory.rules[c.rule_idx];
         let tmpl = &templates[c.rule_idx];
@@ -591,9 +578,7 @@ fn admit_candidates(
         match variant {
             ChaseVariant::Restricted => !tmpl.satisfied(inst, rule, &c.key, wit),
             // Datalog rules are idempotent; skip if the head is present.
-            ChaseVariant::Oblivious => {
-                is_dl[c.rule_idx] && !tmpl.satisfied(inst, rule, &c.key, wit)
-            }
+            ChaseVariant::Oblivious => is_dl(c) && !tmpl.satisfied(inst, rule, &c.key, wit),
         }
     });
     if work.tracking() {
@@ -605,19 +590,14 @@ fn admit_candidates(
     for (c, unwit) in cands.into_iter().zip(unwitnessed) {
         let fire = match variant {
             ChaseVariant::Restricted => unwit,
-            ChaseVariant::Oblivious => {
-                if is_dl[c.rule_idx] {
-                    unwit
-                } else {
-                    fired.insert((c.rule_idx, c.key.clone()))
-                }
-            }
+            ChaseVariant::Oblivious if is_dl(&c) => unwit,
+            ChaseVariant::Oblivious => fired.insert(c.clone()),
         };
         if fire {
             if work.tracking() {
                 work.rule_work[c.rule_idx].triggers_fired += 1;
             }
-            out.push(Repair { rule_idx: c.rule_idx, key: c.key });
+            out.push(c);
         }
     }
     out
@@ -647,6 +627,13 @@ enum WorkItem {
 const ROW_WORK: usize = 8;
 
 impl WorkItem {
+    /// The rule the item evaluates.
+    fn rule_idx(&self) -> usize {
+        match *self {
+            WorkItem::Kernel(rule_idx, _) | WorkItem::Seeded(rule_idx, _) => rule_idx,
+        }
+    }
+
     /// The item's estimated rows: its pinned atom's delta rows (from
     /// `delta_count`), the whole instance when unpinned, one for a
     /// binding-seeded search.
@@ -748,15 +735,16 @@ fn rederive_items(theory: &Theory, templates: &[RuleTemplate], deleted: &[Fact])
 /// unwitnessed (see [`ChaseStepper::rederive`]). They, and the naive
 /// items, read every relation whole.
 ///
-/// Items are read-only and run in parallel, emitting `(rule, key)` pairs
-/// only (everything a trigger grounds is a pure function of the pair).
-/// A kernel item never materializes its last join step: the kernel
-/// hands it each match's frontier values
-/// ([`join::for_each_projection`]), and packed keys are deduplicated
-/// per item as `u64`s before they become candidates. Global
-/// first-occurrence dedup and admission then run sequentially on the
-/// merged stream, so the surviving candidates are identical at any
-/// shard split, in an order [`apply_repairs`] does not depend on.
+/// Items are read-only and run in parallel, emitting [`Trigger`]s only
+/// (everything a trigger grounds is a pure function of it). A kernel
+/// item never materializes its last join step: the kernel hands it each
+/// match's frontier values ([`join::for_each_projection`]). A shard
+/// drops repeated packed keys within each run of one rule's items (the
+/// items come grouped by rule), so a rule's matches sharing a frontier
+/// cost one `u64` probe each, not one trigger each. The merge
+/// concatenates the shards' triggers, sorts them and drops the
+/// remaining duplicates: the candidates reaching admission are then
+/// distinct and in canonical order at any shard split.
 /// Generic over the sink *type* only: with `S::ENABLED == false` (the
 /// `Null` sink) every attribution branch is statically eliminated.
 fn collect_repairs<S: EventSink>(
@@ -764,14 +752,14 @@ fn collect_repairs<S: EventSink>(
     theory: &Theory,
     templates: &[RuleTemplate],
     variant: ChaseVariant,
-    fired: &mut FxHashSet<(usize, Key)>,
+    fired: &mut FxHashSet<Trigger>,
     strategy: ChaseStrategy,
     delta: &[Fact],
     first_round: bool,
     extra: Vec<WorkItem>,
     priors: Option<&join::Priors>,
     work: &mut RoundWork,
-) -> Vec<Repair> {
+) -> Vec<Trigger> {
     if S::ENABLED && work.rule_work.is_empty() {
         work.rule_work = vec![RuleWork::default(); theory.rules.len()];
     }
@@ -806,56 +794,45 @@ fn collect_repairs<S: EventSink>(
         }
     }
     items.extend(extra);
-    /// Per-shard attribution, merged sequentially; `None` when telemetry
-    /// is disabled.
-    struct ShardAttr {
-        rule_matches: Vec<u64>,
-        rule_ns: Vec<u64>,
-        joins: join::JoinStats,
-    }
-    // Phase 1 (parallel): one evaluation per work item; shards
-    // emit locally-new `(rule, key)` pairs in work-list order. Shard-local
-    // dedup is sound because phase 2 dedups again globally: the first
-    // occurrence in the merged stream survives either way.
+    // Phase 1 (parallel): one evaluation per work item. Each shard
+    // returns its triggers, its body matches and, with telemetry on, its
+    // per-rule and per-predicate attribution.
     let est_rows = |item: &WorkItem| item.est_rows(theory, inst, &delta_count);
     let est_work = items.iter().map(est_rows).sum::<usize>() * ROW_WORK;
-    let shard_out: Vec<(Vec<(usize, Key)>, u64, Option<ShardAttr>)> =
+    let shard_out: Vec<(Vec<Trigger>, u64, Vec<RuleWork>, join::JoinStats)> =
         par::par_chunks(items.len(), est_work, |range| {
             let mut out = Vec::new();
             let mut matches = 0u64;
-            let mut local_seen: FxHashSet<(usize, Key)> = FxHashSet::default();
-            // One item's packed keys, reused across the shard's items.
-            let mut item_keys: FxHashSet<u64> = FxHashSet::default();
-            let mut attr = if S::ENABLED {
-                Some(ShardAttr {
-                    rule_matches: vec![0; theory.rules.len()],
-                    rule_ns: vec![0; theory.rules.len()],
-                    joins: join::JoinStats::default(),
-                })
-            } else {
-                None
-            };
+            // The packed keys of the current run of one rule's items.
+            let mut run_keys: FxHashSet<u64> = FxHashSet::default();
+            let mut run_rule = None;
+            let rules = if S::ENABLED { theory.rules.len() } else { 0 };
+            let mut rule_work = vec![RuleWork::default(); rules];
+            let mut joins = join::JoinStats::default();
             for item in &items[range] {
-                let timer = attr.is_some().then(SpanTimer::start);
-                let mut emit = |k: (usize, Key)| {
-                    if !local_seen.contains(&k) {
-                        local_seen.insert(k.clone());
-                        out.push(k);
-                    }
+                let rule_idx = item.rule_idx();
+                if run_rule != Some(rule_idx) {
+                    run_keys.clear();
+                    run_rule = Some(rule_idx);
+                }
+                let timer = S::ENABLED.then(SpanTimer::start);
+                let mut emit = |key: Key| match key {
+                    Key::Packed(bits) if !run_keys.insert(bits) => {}
+                    key => out.push(Trigger { rule_idx, key }),
                 };
-                let (rule_idx, rows) = match item {
-                    WorkItem::Seeded(rule_idx, init) => {
-                        let frontier = &templates[*rule_idx].frontier;
+                let body = &theory.rules[rule_idx].body;
+                let frontier = &templates[rule_idx].frontier;
+                let rows = match item {
+                    WorkItem::Seeded(_, init) => {
                         let mut rows = 0u64;
-                        let _ = hom::for_each_hom(inst, &theory.rules[*rule_idx].body, init, |b| {
+                        let _ = hom::for_each_hom(inst, body, init, |b| {
                             rows += 1;
-                            emit((*rule_idx, key_of_binding(frontier, b)));
+                            emit(key_of_binding(frontier, b));
                             ControlFlow::Continue(())
                         });
-                        (*rule_idx, rows)
+                        rows
                     }
-                    WorkItem::Kernel(rule_idx, pinned) => {
-                        let body = &theory.rules[*rule_idx].body;
+                    WorkItem::Kernel(_, pinned) => {
                         let store = inst.columnar();
                         let range = |j: usize| {
                             let pred = body[j].pred;
@@ -868,79 +845,61 @@ fn collect_repairs<S: EventSink>(
                                 None => 0..rows,
                             }
                         };
-                        item_keys.clear();
-                        let rows = join::for_each_projection(
+                        join::for_each_projection(
                             store,
                             body,
                             *pinned,
                             range,
-                            &templates[*rule_idx].frontier,
-                            attr.as_mut().map(|a| &mut a.joins),
+                            frontier,
+                            S::ENABLED.then_some(&mut joins),
                             priors,
-                            |vals| match Key::of(vals) {
-                                Key::Packed(bits) if !item_keys.insert(bits) => {}
-                                key => emit((*rule_idx, key)),
-                            },
-                        );
-                        (*rule_idx, rows)
+                            |vals| emit(Key::of(vals)),
+                        )
                     }
                 };
                 matches += rows;
-                if let Some(a) = attr.as_mut() {
-                    a.rule_ns[rule_idx] += timer.expect("timer set with attr").elapsed_ns();
-                    a.rule_matches[rule_idx] += rows;
+                if let Some(timer) = timer {
+                    rule_work[rule_idx].body_matches += rows;
+                    rule_work[rule_idx].enum_ns += timer.elapsed_ns();
                 }
             }
-            (out, matches, attr)
+            (out, matches, rule_work, joins)
         });
-    // Phase 2 (sequential): merge in input order and dedup per (rule,
-    // key). With a single shard the local dedup above was already global,
-    // so the re-check is skipped (the surviving set is identical either
-    // way).
-    let single_shard = shard_out.len() == 1;
-    let mut seen: FxHashSet<(usize, Key)> = FxHashSet::default();
-    let mut cands: Vec<Candidate> = Vec::new();
-    for (shard, matches, attr) in shard_out {
+    // Phase 2 (sequential): concatenate, sort into canonical order and
+    // drop the duplicates left by wide keys, shard splits and a rule's
+    // later runs of items.
+    let mut cands: Vec<Trigger> = Vec::new();
+    for (mut shard, matches, rule_work, joins) in shard_out {
         work.body_matches += matches;
-        if let Some(a) = attr {
-            for (rw, (&m, &ns)) in
-                work.rule_work.iter_mut().zip(a.rule_matches.iter().zip(&a.rule_ns))
-            {
-                rw.body_matches += m;
-                rw.enum_ns += ns;
-            }
-            work.joins.merge(&a.joins);
+        for (rw, shard_rw) in work.rule_work.iter_mut().zip(&rule_work) {
+            rw.body_matches += shard_rw.body_matches;
+            rw.enum_ns += shard_rw.enum_ns;
         }
-        for k in shard {
-            if single_shard || !seen.contains(&k) {
-                if !single_shard {
-                    seen.insert(k.clone());
-                }
-                let (rule_idx, key) = k;
-                cands.push(Candidate { rule_idx, key });
-            }
-        }
+        work.joins.merge(&joins);
+        cands.append(&mut shard);
     }
+    cands.sort_unstable();
+    cands.dedup();
     admit_candidates(inst, theory, templates, variant, fired, cands, work)
 }
 
-/// Applies repairs in the canonical `(rule, frontier tuple)` order — the
-/// order both strategies share, so fresh-null naming is reproducible and
+/// Applies the round's admitted triggers, which arrive distinct and in
+/// the canonical `(rule, frontier tuple)` order — the order both
+/// strategies share, so fresh-null naming is reproducible and
 /// strategy-independent. Head atoms ground straight from each repair's
 /// key through the rule's [`RuleTemplate`] (fresh nulls created in
-/// sorted-existential order, as before) into a reused scratch buffer, so
-/// the only allocations are the genuinely new facts. Returns the
-/// instance length *before* the insertions (so the new facts of the
-/// round are `inst.facts()[start..]`) and the number of fresh nulls
-/// invented.
+/// sorted-existential order) into a reused scratch buffer, so the only
+/// allocations are the genuinely new facts. Returns the instance length
+/// *before* the insertions (so the new facts of the round are
+/// `inst.facts()[start..]`) and the number of fresh nulls invented.
 fn apply_repairs(
     inst: &mut Instance,
     templates: &[RuleTemplate],
     voc: &mut Vocabulary,
-    mut repairs: Vec<Repair>,
+    repairs: Vec<Trigger>,
     mut record: Option<&mut Vec<(Fact, usize)>>,
 ) -> (usize, u64) {
-    repairs.sort_by(|a, b| (a.rule_idx, &a.key).cmp(&(b.rule_idx, &b.key)));
+    debug_assert!(repairs.windows(2).all(|w| w[0] < w[1]), "repairs strictly increasing");
     // Most repairs insert their head atoms; reserving up front keeps the
     // content-hash table from rehashing mid-round.
     inst.reserve(repairs.iter().map(|r| templates[r.rule_idx].head.len()).sum());
@@ -994,7 +953,7 @@ pub struct ChaseStepper<'t, S: EventSink = Null> {
     pub instance: Instance,
     variant: ChaseVariant,
     strategy: ChaseStrategy,
-    fired: FxHashSet<(usize, Key)>,
+    fired: FxHashSet<Trigger>,
     /// Per-rule key templates, compiled once from the theory.
     templates: Vec<RuleTemplate>,
     /// The previous round's delta, as a range into `instance.facts()`
@@ -1257,15 +1216,11 @@ impl<'t, S: EventSink> ChaseStepper<'t, S> {
         self.first_round = false;
         let triggers_fired = repairs.len() as u64;
         self.stats.body_matches_per_round.push(work.body_matches);
-        // Premise recovery must run against the pre-round instance, and
-        // must align with the order apply_repairs inserts in — so sort
-        // here (the comparator is the one apply_repairs uses; sorting
-        // twice is idempotent) and ground one witnessing homomorphism
-        // per repair.
-        let mut repairs = repairs;
+        // Premise recovery must run against the pre-round instance: ground
+        // one witnessing homomorphism per repair, indexed like the
+        // canonically ordered repairs apply_repairs records against.
         let mut recorded: Vec<(Fact, usize)> = Vec::new();
         let premises: Vec<(usize, Vec<Fact>)> = if traced.is_some() {
-            repairs.sort_by(|a, b| (a.rule_idx, &a.key).cmp(&(b.rule_idx, &b.key)));
             repairs
                 .iter()
                 .map(|r| {
@@ -1485,7 +1440,7 @@ pub fn chase_uninstrumented_baseline(
 ) -> Instance {
     let mut inst = db.clone();
     let templates: Vec<RuleTemplate> = theory.rules.iter().map(RuleTemplate::new).collect();
-    let mut fired: FxHashSet<(usize, Key)> = FxHashSet::default();
+    let mut fired: FxHashSet<Trigger> = FxHashSet::default();
     let mut delta = 0..db.len();
     let mut first_round = true;
     let mut rounds = 0;

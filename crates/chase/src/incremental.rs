@@ -520,11 +520,12 @@ impl IncrementalChase {
     /// Extracts the derivation tree of a resident fact (`None` if the
     /// fact is not resident). Base facts are leaves.
     pub fn explain(&self, fact: &Fact) -> Option<DerivationTree> {
-        self.traced_view().explain(fact)
+        crate::trace::explain(&self.instance, &self.provenance, fact)
     }
 
-    /// A [`TracedChase`] view of the resident state (clones instance and
-    /// provenance — meant for debugging commands, not hot paths).
+    /// A [`TracedChase`] view of the resident state (clones the instance
+    /// and the whole provenance — meant for tests and debugging, not hot
+    /// paths; [`IncrementalChase::explain`] reads the state in place).
     pub fn traced_view(&self) -> TracedChase {
         TracedChase {
             instance: (*self.instance).clone(),

@@ -179,42 +179,51 @@ pub fn traced_chase(
 impl TracedChase {
     /// Extracts the derivation tree of a fact (database facts are
     /// leaves). Returns `None` if the fact is not in the instance.
-    ///
-    /// Iterative on derivation depth (a chained existential rule makes
-    /// derivations as deep as the run is long, far beyond what the call
-    /// stack tolerates): a breadth-first pass flattens the provenance
-    /// graph into an indexed node list, then the tree is assembled
-    /// bottom-up. Facts shared between derivations are expanded once per
-    /// occurrence — the result is a tree, exactly as the recursive
-    /// definition reads.
     pub fn explain(&self, fact: &Fact) -> Option<DerivationTree> {
-        if !self.instance.contains(fact) {
-            return None;
-        }
-        let mut facts: Vec<Fact> = vec![fact.clone()];
-        let mut ranges: Vec<(usize, usize, Option<usize>)> = Vec::new();
-        let mut i = 0;
-        while i < facts.len() {
-            let (rule_idx, premises): (Option<usize>, &[Fact]) =
-                match self.provenance.get(&facts[i]) {
-                    None => (None, &[]),
-                    Some(d) => (Some(d.rule_idx), &d.premises),
-                };
-            let start = facts.len();
-            facts.extend(premises.iter().cloned());
-            ranges.push((start, facts.len(), rule_idx));
-            i += 1;
-        }
-        let mut built: Vec<Option<DerivationTree>> = (0..facts.len()).map(|_| None).collect();
-        for idx in (0..facts.len()).rev() {
-            let (start, end, rule_idx) = ranges[idx];
-            let premises = (start..end)
-                .map(|c| built[c].take().expect("child built before parent"))
-                .collect();
-            built[idx] = Some(DerivationTree { fact: facts[idx].clone(), rule_idx, premises });
-        }
-        Some(built[0].take().expect("root built last"))
+        explain(&self.instance, &self.provenance, fact)
     }
+}
+
+/// The derivation tree of `fact` over `instance` and its `provenance`
+/// (facts without a recorded derivation are leaves); `None` if the fact
+/// is not in the instance. Reads only the fact's derivation cone.
+///
+/// Iterative on derivation depth (a chained existential rule makes
+/// derivations as deep as the run is long, far beyond what the call
+/// stack tolerates): a breadth-first pass flattens the provenance graph
+/// into an indexed node list, then the tree is assembled bottom-up.
+/// Facts shared between derivations are expanded once per occurrence —
+/// the result is a tree, exactly as the recursive definition reads.
+pub(crate) fn explain(
+    instance: &Instance,
+    provenance: &FxHashMap<Fact, Derivation>,
+    fact: &Fact,
+) -> Option<DerivationTree> {
+    if !instance.contains(fact) {
+        return None;
+    }
+    let mut facts: Vec<Fact> = vec![fact.clone()];
+    let mut ranges: Vec<(usize, usize, Option<usize>)> = Vec::new();
+    let mut i = 0;
+    while i < facts.len() {
+        let (rule_idx, premises): (Option<usize>, &[Fact]) = match provenance.get(&facts[i]) {
+            None => (None, &[]),
+            Some(d) => (Some(d.rule_idx), &d.premises),
+        };
+        let start = facts.len();
+        facts.extend(premises.iter().cloned());
+        ranges.push((start, facts.len(), rule_idx));
+        i += 1;
+    }
+    let mut built: Vec<Option<DerivationTree>> = (0..facts.len()).map(|_| None).collect();
+    for idx in (0..facts.len()).rev() {
+        let (start, end, rule_idx) = ranges[idx];
+        let premises = (start..end)
+            .map(|c| built[c].take().expect("child built before parent"))
+            .collect();
+        built[idx] = Some(DerivationTree { fact: facts[idx].clone(), rule_idx, premises });
+    }
+    Some(built[0].take().expect("root built last"))
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The tuple-at-a-time homomorphism engine ([`crate::hom`]) re-probes
 //! index hash maps once per candidate fact per partial binding. This
 //! module evaluates a whole *frontier* of bindings per probe instead: a
-//! [`BindingBatch`] is itself columnar (one `Vec<ConstId>` per variable),
-//! and [`join_atom`] extends every row of the batch against one body atom
+//! `BindingBatch` is itself columnar (one `Vec<ConstId>` per variable),
+//! and `join_atom` extends every row of the batch against one body atom
 //! in a single pass, choosing between
 //!
 //! * a **hash join** that builds a table on the smaller side (the live
@@ -15,22 +15,20 @@
 //!   frontier.
 //!
 //! One pair enumerator runs all of them: four probe paths, counting the
-//! hash join once per build side. [`join_atom`] collects its pairs
-//! and gathers the output batch in the canonical `(frontier row,
-//! relation row)` lexicographic order — only the path that builds on the
-//! frontier has to sort its pairs into it — so downstream consumers
-//! observe the same batch whatever side the table was built on.
+//! hash join once per build side. No path promises an order: the batch
+//! holds the same rows, as a multiset, whatever side a table was built
+//! on, and consumers that need an order sort what they keep.
 //!
-//! [`plan`] orders a rule body by live predicate cardinalities (smallest
-//! first, pinned delta atom first in semi-naive rounds, connected atoms
-//! before cross products, ties broken by atom index).
-//! [`for_each_projection`] folds [`join_atom`] over every atom of that
-//! order but the last, so only intermediate steps build a
-//! [`BindingBatch`]; the last step hands each match's values of a
-//! projection list (the chase passes the rule's frontier) straight to a
-//! sink, with no pair vector and no gather, in no canonical order. Each
-//! atom reads its own row range, which is how semi-naive rounds split a
-//! relation into its old prefix and delta tail ([`seminaive_range`]).
+//! [`plan_with_priors`] orders a rule body by live predicate
+//! cardinalities (smallest first, pinned delta atom first in semi-naive
+//! rounds, connected atoms before cross products, ties broken by static
+//! priors, then atom index). [`for_each_projection`] folds `join_atom`
+//! over every atom of that order but the last, so only intermediate
+//! steps build a `BindingBatch`; the last step hands each match's values
+//! of a projection list (the chase passes the rule's frontier) straight
+//! to a sink, with no pair vector and no gather. Each atom reads its own
+//! row range, which is how semi-naive rounds split a relation into its
+//! old prefix and delta tail ([`seminaive_range`]).
 //!
 //! The chase always enumerates rule bodies through this kernel;
 //! [`crate::hom`] is its differential oracle at this seam.
@@ -42,9 +40,9 @@ use crate::term::{Atom, Term};
 use std::ops::Range;
 
 /// A columnar frontier of variable bindings: one column per schema
-/// variable, all of length [`BindingBatch::rows`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BindingBatch {
+/// variable, all of length `rows`.
+#[derive(Debug)]
+struct BindingBatch {
     schema: Vec<VarId>,
     cols: Vec<Vec<ConstId>>,
     rows: usize,
@@ -52,39 +50,29 @@ pub struct BindingBatch {
 
 impl BindingBatch {
     /// The unit frontier: one row binding nothing (the join identity).
-    pub fn unit() -> Self {
+    fn unit() -> Self {
         BindingBatch { schema: Vec::new(), cols: Vec::new(), rows: 1 }
     }
 
     /// An empty frontier (no rows) over the given schema.
-    pub fn empty(schema: Vec<VarId>) -> Self {
+    fn empty(schema: Vec<VarId>) -> Self {
         let cols = vec![Vec::new(); schema.len()];
         BindingBatch { schema, cols, rows: 0 }
     }
 
-    /// Number of binding rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The bound variables, in binding order.
-    pub fn schema(&self) -> &[VarId] {
-        &self.schema
-    }
-
     /// The schema slot of `v`, if bound.
-    pub fn col_of(&self, v: VarId) -> Option<usize> {
+    fn col_of(&self, v: VarId) -> Option<usize> {
         self.schema.iter().position(|&s| s == v)
     }
 
     /// The column of schema slot `slot`.
-    pub fn col(&self, slot: usize) -> &[ConstId] {
+    fn col(&self, slot: usize) -> &[ConstId] {
         &self.cols[slot]
     }
 
     /// The element bound at `(row, slot)`.
     #[inline]
-    pub fn get(&self, row: usize, slot: usize) -> ConstId {
+    fn get(&self, row: usize, slot: usize) -> ConstId {
         self.cols[slot][row]
     }
 }
@@ -203,25 +191,19 @@ impl Priors {
 /// afterwards, repeatedly pick the atom with the smallest live predicate
 /// cardinality among those sharing a variable with the already-bound set
 /// (falling back to all remaining atoms when none is connected), breaking
-/// cardinality ties by original atom index. Returns the atom indices in
+/// cardinality ties by the optional static cardinality priors and then
+/// by original atom index: the selection key per atom is `(disconnected,
+/// live cardinality, static prior, index)`. Returns the atom indices in
 /// execution order.
-pub fn plan(body: &[Atom], pinned: Option<usize>, card: impl Fn(PredId) -> usize) -> Vec<usize> {
-    plan_with_priors(body, pinned, card, None)
-}
-
-/// [`plan`] with optional static cardinality priors wedged between the
-/// live cardinality and the atom-index tie-break: the selection key per
-/// atom is `(disconnected, live cardinality, static prior, index)`.
 ///
 /// Live postings always dominate — priors only decide among atoms whose
 /// runtime cardinalities are equal, which is exactly the state before
 /// runtime postings exist (every derived predicate at 0 rows on the
-/// first round, or any genuine tie later). Because the key refines the
-/// [`plan`] key rather than replacing any component, passing `None` (or
-/// priors that never break a tie) reproduces [`plan`]'s order bit for
-/// bit — and the chase result is invariant either way, since repair
-/// candidates are deduplicated by frontier key and applied in canonical
-/// order whatever join order produced them.
+/// first round, or any genuine tie later). Passing `None` (or priors
+/// that never break a tie) leaves the index tie-break alone — and the
+/// chase result is invariant either way, since trigger candidates are
+/// deduplicated by frontier key and applied in canonical order whatever
+/// join order produced them.
 pub fn plan_with_priors(
     body: &[Atom],
     pinned: Option<usize>,
@@ -330,9 +312,9 @@ fn batch_key_packed(batch: &BindingBatch, r: usize, keys: &[(usize, usize)]) -> 
     }
 }
 
-/// Gathers the output batch from canonical `(frontier row, relation row)`
-/// pairs: the frontier columns come along unchanged, the atom's new
-/// variables are appended from the relation's columns.
+/// Gathers the output batch from `(frontier row, relation row)` pairs:
+/// the frontier columns come along unchanged, the atom's new variables
+/// are appended from the relation's columns.
 fn gather(batch: &BindingBatch, rel: &Relation, s: &AtomShape, pairs: &[(u32, u32)]) -> BindingBatch {
     let mut schema = batch.schema.clone();
     schema.extend(s.news.iter().map(|&(_, v)| v));
@@ -369,12 +351,11 @@ fn live_relation<'a>(
 /// The pair enumerator behind [`join_atom`] and the last join step of
 /// [`for_each_projection`]: hands every `(frontier row, relation row)`
 /// match of the atom shaped `s` against `batch`, within `range` of `rel`,
-/// to `emit`, through one of four probe paths (cross product, index
-/// probe, hash join built on the relation, hash join built on the
-/// frontier), and charges the work to `stats` under `pred`. Returns the
-/// match count and whether the pairs came in canonical ascending order,
-/// which every path but the one building on the frontier guarantees.
-/// The caller has checked the inputs with [`live_relation`].
+/// to `emit`, in no promised order, through one of four probe paths
+/// (cross product, index probe, hash join built on the relation, hash
+/// join built on the frontier), and charges the work to `stats` under
+/// `pred`. Returns the match count. The caller has checked the inputs
+/// with [`live_relation`].
 fn for_each_pair(
     rel: &Relation,
     batch: &BindingBatch,
@@ -383,7 +364,7 @@ fn for_each_pair(
     range: Range<usize>,
     stats: Option<&mut JoinStats>,
     mut emit: impl FnMut(u32, u32),
-) -> (u64, bool) {
+) -> u64 {
     let timed = stats.is_some();
     let mut matches = 0u64;
     let mut emit = |r: u32, t: u32| {
@@ -405,7 +386,7 @@ fn for_each_pair(
             let ns = timer.map_or(0, |t| t.elapsed_ns());
             stats.note_probe(pred, range.len() as u64, matches, ns);
         }
-        return (matches, true);
+        return matches;
     }
     if range.len() >= INDEX_PROBE_FACTOR.saturating_mul(batch.rows) {
         // Index probe: per frontier row, walk the shortest posting list
@@ -433,7 +414,7 @@ fn for_each_pair(
             let ns = timer.map_or(0, |t| t.elapsed_ns());
             stats.note_probe(pred, probed, matches, ns);
         }
-        return (matches, true);
+        return matches;
     }
     // Hash join, table on the smaller side.
     let packed = s.keys.len() <= 2;
@@ -476,8 +457,7 @@ fn for_each_pair(
             stats.note_probe(pred, batch.rows as u64, matches, ns);
         }
     } else {
-        // Build on the frontier, probe the relation segment: the pairs
-        // ascend in relation rows, not in frontier rows.
+        // Build on the frontier, probe the relation segment.
         let table = if packed {
             let mut t: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
             for r in 0..batch.rows {
@@ -514,16 +494,15 @@ fn for_each_pair(
             stats.note_probe(pred, range.len() as u64, matches, ns);
         }
     }
-    (matches, build_on_relation)
+    matches
 }
 
 /// Extends every row of `batch` against `atom`, restricted to the
 /// relation rows in `range` (the live segment: the whole relation, the
-/// delta tail, or the pre-delta prefix in semi-naive rounds). Output
-/// rows appear in canonical `(frontier row, relation row)` order; the
-/// output schema is the input schema plus the atom's new variables in
-/// first-occurrence order.
-pub fn join_atom(
+/// delta tail, or the pre-delta prefix in semi-naive rounds), in no
+/// promised row order. The output schema is the input schema plus the
+/// atom's new variables in first-occurrence order.
+fn join_atom(
     store: &ColumnarStore,
     batch: &BindingBatch,
     atom: &Atom,
@@ -537,13 +516,7 @@ pub fn join_atom(
         return BindingBatch::empty(schema);
     };
     let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let (_, canonical) =
-        for_each_pair(rel, batch, &s, atom.pred, range, stats, |r, t| pairs.push((r, t)));
-    if !canonical {
-        // Probing ascended in relation rows, so this is a cheap
-        // near-sorted pass.
-        pairs.sort_unstable();
-    }
+    for_each_pair(rel, batch, &s, atom.pred, range, stats, |r, t| pairs.push((r, t)));
     gather(batch, rel, &s, &pairs)
 }
 
@@ -574,10 +547,10 @@ enum ProjSrc<'a> {
 /// the `project` variables, in that order, to `sink`; returns the number
 /// of matches. Body atom `i` reads the rows `range(i)` of its relation.
 /// [`plan_with_priors`] orders the body, with the `lead` atom (the
-/// semi-naive pin) first, and [`join_atom`] folds every atom but the last
-/// into a [`BindingBatch`]. The last atom builds no batch: its matches go
-/// to the sink as they are found, in no canonical order (consumers that
-/// need one sort what they keep). The matches are exactly the body's
+/// semi-naive pin) first, and `join_atom` folds every atom but the last
+/// into a `BindingBatch`. The last atom builds no batch: its matches go
+/// to the sink as they are found. No order is promised: consumers that
+/// need one sort what they keep. The matches are exactly the body's
 /// homomorphisms within the ranges, one per distinct fact combination;
 /// an empty body has one match. Every `project` variable must occur in
 /// the body.
@@ -625,7 +598,7 @@ pub fn for_each_projection(
         })
         .collect();
     let mut vals = vec![ConstId(0); srcs.len()];
-    let (matches, _) = for_each_pair(rel, &batch, &s, atom.pred, last_range, stats, |r, t| {
+    for_each_pair(rel, &batch, &s, atom.pred, last_range, stats, |r, t| {
         for (val, src) in vals.iter_mut().zip(&srcs) {
             *val = match *src {
                 ProjSrc::Frontier(col) => col[r as usize],
@@ -633,8 +606,7 @@ pub fn for_each_projection(
             };
         }
         sink(&vals);
-    });
-    matches
+    })
 }
 
 #[cfg(test)]
@@ -661,7 +633,7 @@ mod tests {
     /// Same projection from a batch.
     fn batch_homs(batch: &BindingBatch, vars: &[VarId]) -> Vec<Vec<ConstId>> {
         let slots: Vec<usize> = vars.iter().map(|&v| batch.col_of(v).unwrap()).collect();
-        let mut out: Vec<Vec<ConstId>> = (0..batch.rows())
+        let mut out: Vec<Vec<ConstId>> = (0..batch.rows)
             .map(|r| slots.iter().map(|&s| batch.get(r, s)).collect())
             .collect();
         out.sort_unstable();
@@ -691,6 +663,11 @@ mod tests {
     fn kernel_homs(inst: &Instance, body: &[Atom], vars: &[VarId]) -> Vec<Vec<ConstId>> {
         let store = inst.columnar();
         projected(store, body, None, |i| 0..store.rows(body[i].pred), vars, None)
+    }
+
+    /// The planner's order without priors.
+    fn plan(body: &[Atom], pinned: Option<usize>, card: impl Fn(PredId) -> usize) -> Vec<usize> {
+        plan_with_priors(body, pinned, card, None)
     }
 
     fn graph(voc: &mut Vocabulary, edges: &[(usize, usize)]) -> Instance {
@@ -780,7 +757,7 @@ mod tests {
                 // Oracle: nested loop over the two segments.
                 let rel = inst.columnar().relation(e).unwrap();
                 let mut expect = Vec::new();
-                for r in 0..seed.rows() {
+                for r in 0..seed.rows {
                     for t in 0..probe_hi {
                         if rel.get(t, 0) == seed.get(r, seed.col_of(y).unwrap()) {
                             expect.push(vec![
@@ -905,36 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_order_is_frontier_major() {
-        // Output rows come in (frontier row, relation row) order on every
-        // strategy; with the frontier seeded in relation order the output
-        // keeps that outer order (stably).
-        let mut voc = Vocabulary::new();
-        let inst = graph(&mut voc, &[(0, 1), (0, 2), (1, 2), (2, 0), (2, 1), (1, 0)]);
-        let e = voc.find_pred("E").unwrap();
-        let (x, y, z) = (voc.var("X"), voc.var("Y"), voc.var("Z"));
-        let first = Atom::new(e, vec![Term::Var(x), Term::Var(y)]);
-        let second = Atom::new(e, vec![Term::Var(y), Term::Var(z)]);
-        let rows = inst.columnar().rows(e);
-        let rel = inst.columnar().relation(e).unwrap();
-        let seed_order: Vec<(ConstId, ConstId)> =
-            (0..rel.rows()).map(|t| (rel.get(t, 0), rel.get(t, 1))).collect();
-        let seed = join_atom(inst.columnar(), &BindingBatch::unit(), &first, 0..rows, None);
-        // Probe segments of 2..=6 rows against 6 frontier rows take both
-        // hash-join paths.
-        for probe_hi in 2..=rows {
-            let batch = join_atom(inst.columnar(), &seed, &second, 0..probe_hi, None);
-            let xs = batch.col(batch.col_of(x).unwrap());
-            let ys = batch.col(batch.col_of(y).unwrap());
-            let pairs: Vec<(ConstId, ConstId)> =
-                xs.iter().copied().zip(ys.iter().copied()).collect();
-            let mut sorted_by_seed = pairs.clone();
-            sorted_by_seed.sort_by_key(|p| seed_order.iter().position(|q| q == p).unwrap());
-            assert_eq!(pairs, sorted_by_seed, "probe rows 0..{probe_hi}");
-        }
-    }
-
-    #[test]
     fn constants_and_repeated_variables_constrain_matches() {
         let mut voc = Vocabulary::new();
         let mut inst = graph(&mut voc, &[(0, 1), (1, 1), (2, 2), (2, 1)]);
@@ -972,18 +919,18 @@ mod tests {
         // Unknown predicate: no rows, schema still extends.
         let body = vec![Atom::new(missing, vec![Term::Var(x)])];
         let batch = join_atom(inst.columnar(), &BindingBatch::unit(), &body[0], 0..0, None);
-        assert_eq!(batch.rows(), 0);
-        assert_eq!(batch.schema(), &[x]);
+        assert_eq!(batch.rows, 0);
+        assert_eq!(batch.schema, [x]);
         assert!(kernel_homs(&inst, &body, &[x]).is_empty());
         // Empty segment of a known predicate.
         let edge = Atom::new(e, vec![Term::Var(x), Term::Var(y)]);
         let batch = join_atom(inst.columnar(), &BindingBatch::unit(), &edge, 0..0, None);
-        assert_eq!(batch.rows(), 0);
+        assert_eq!(batch.rows, 0);
         // Empty frontier in, empty batch out.
         let empty = BindingBatch::empty(vec![x]);
         let batch = join_atom(inst.columnar(), &empty, &edge, 0..1, None);
-        assert_eq!(batch.rows(), 0);
-        assert_eq!(batch.schema(), &[x, y]);
+        assert_eq!(batch.rows, 0);
+        assert_eq!(batch.schema, [x, y]);
         // An empty frontier before the last step: no match.
         let body = vec![Atom::new(missing, vec![Term::Var(x)]), edge.clone()];
         assert!(kernel_homs(&inst, &body, &[x, y]).is_empty());

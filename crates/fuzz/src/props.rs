@@ -814,7 +814,6 @@ fn serve_vs_scratch_chase(_case: &FuzzCase, prog: &Program, ctx: &PropCtx) -> Pr
     let config = ServeConfig {
         max_rounds: ctx.max_rounds,
         max_facts: ctx.max_facts,
-        oracle: false,
         ..ServeConfig::default()
     };
     let run = |threads: usize| {

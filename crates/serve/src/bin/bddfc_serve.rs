@@ -1,7 +1,7 @@
 //! `bddfc-serve` — serve a Datalog∃ program incrementally.
 //!
 //! ```text
-//! bddfc-serve [PROGRAM.dlg] [--oracle] [--tcp ADDR]
+//! bddfc-serve [PROGRAM.dlg] [--tcp ADDR]
 //!             [--max-rounds N] [--max-facts N] [--deny-unbounded]
 //!             [--metrics-tcp ADDR] [--no-metrics]
 //!             [--slow-ms N] [--slow-log FILE]
@@ -14,10 +14,6 @@
 //! connection as its own session over one shared instance — reads are
 //! snapshot-isolated, so sessions never observe each other's
 //! half-applied mutations.
-//!
-//! `--oracle` replays every query through a from-scratch chase and turns
-//! decided disagreements into `err oracle-mismatch ...` responses (the
-//! differential-testing mode `ci.sh` smokes).
 //!
 //! At load the program runs through `bddfc-analyze`. When the analyzer
 //! certifies termination (weak acyclicity) and `--max-rounds` was not
@@ -45,7 +41,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bddfc-serve [PROGRAM.dlg] [--oracle] [--tcp ADDR] \
+        "usage: bddfc-serve [PROGRAM.dlg] [--tcp ADDR] \
          [--max-rounds N] [--max-facts N] [--deny-unbounded] \
          [--metrics-tcp ADDR] [--no-metrics] [--slow-ms N] [--slow-log FILE]"
     );
@@ -67,7 +63,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--oracle" => config.oracle = true,
             "--deny-unbounded" => deny_unbounded = true,
             "--tcp" => tcp = Some(args.next().unwrap_or_else(|| usage())),
             "--metrics-tcp" => metrics_tcp = Some(args.next().unwrap_or_else(|| usage())),

@@ -47,17 +47,6 @@
 //! `bddfc-serve` binary additionally sizes the default round budget
 //! from the certified bound and supports `--deny-unbounded`.
 //!
-//! ## Differential oracle mode
-//!
-//! With [`ServeConfig::oracle`] set, every query is additionally
-//! replayed through a from-scratch [`bddfc_chase::certain_ucq_outcome`]
-//! over the current base — the base set *is* the mutation log folded
-//! down (inserts add, retracts remove) — and any decided/decided
-//! disagreement turns the response into `err oracle-mismatch ...`.
-//! Undecided oracle runs (budget) are skipped: certain answers are only
-//! comparable when both sides settled. This is the serve-vs-scratch
-//! differential property `bddfc-fuzz` drives.
-//!
 //! ## Live metrics and the slow-query log
 //!
 //! Unless disabled ([`ServeConfig::metrics`]), the server owns a
@@ -85,14 +74,11 @@ pub mod http;
 pub mod proto;
 pub mod slowlog;
 
-use bddfc_chase::engine::ChaseConfig;
-use bddfc_chase::{
-    certain_ucq_outcome, BudgetExhausted, Certainty, IncrementalChase, MaintainConfig,
-};
+use bddfc_chase::{BudgetExhausted, IncrementalChase, MaintainConfig};
 use bddfc_core::obs::metrics::{LocalMetrics, MetricsRegistry, MetricsSnapshot};
 use bddfc_core::obs::{Event, EventSink, Memory, Null, SpanTimer, Tee, NULL};
 use bddfc_core::parser::Program;
-use bddfc_core::{hom, parse_into, parse_query, Fact, Instance, Ucq, Vocabulary};
+use bddfc_core::{hom, parse_into, parse_query, Fact, Ucq, Vocabulary};
 use epoch::{Epoch, EpochStore};
 use proto::{ensure_terminated, parse_command, Command};
 use slowlog::SlowLog;
@@ -106,17 +92,14 @@ const SLOW_CAPTURE_CAP: usize = 4096;
 /// Ring capacity of the slow-query log.
 const SLOWLOG_CAP: usize = 128;
 
-/// Service configuration: per-mutation closure budgets and the oracle
-/// switch.
+/// Service configuration: per-mutation closure budgets, metrics and the
+/// slow-query log.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Maximum closure rounds one mutation may run.
     pub max_rounds: u32,
     /// Stop (incomplete) once the instance exceeds this many facts.
     pub max_facts: usize,
-    /// Replay every query through a from-scratch chase and flag
-    /// decided/decided mismatches.
-    pub oracle: bool,
     /// Whether the server keeps a live [`MetricsRegistry`] (on by
     /// default; the overhead guard in `tests/overhead.rs` pins the cost
     /// of leaving it on).
@@ -132,7 +115,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_rounds: 64,
             max_facts: 1_000_000,
-            oracle: false,
             metrics: true,
             slow_ms: None,
         }
@@ -630,49 +612,7 @@ impl<'s, S: EventSink> Server<'s, S> {
                 gauges: &[],
             });
         }
-        if self.config.oracle {
-            if let Some(err) = self.oracle_check(&ucq, &resident) {
-                return err;
-            }
-        }
         resident
-    }
-
-    /// Replays the query through a from-scratch chase of the current
-    /// base. Returns a mismatch error when both sides decided and
-    /// disagree.
-    fn oracle_check(&self, ucq: &Ucq, resident: &str) -> Option<String> {
-        let w = self.state.lock().expect("writer lock poisoned");
-        let mut base = Instance::new();
-        for f in w.inc.base() {
-            base.insert(f.clone());
-        }
-        let mut voc = w.voc.clone();
-        let theory = w.inc.theory().clone();
-        drop(w);
-        let outcome = certain_ucq_outcome(
-            &base,
-            &theory,
-            &mut voc,
-            ucq,
-            ChaseConfig {
-                max_rounds: self.config.max_rounds,
-                max_facts: self.config.max_facts,
-                ..ChaseConfig::default()
-            },
-        );
-        let scratch = match outcome.certainty {
-            Certainty::True(_) => "true",
-            Certainty::False => "false",
-            Certainty::Unknown => "unknown",
-        };
-        let resident_kind = resident.split_whitespace().next().unwrap_or(resident);
-        if resident_kind != "unknown" && scratch != "unknown" && resident_kind != scratch {
-            return Some(format!(
-                "err oracle-mismatch resident={resident_kind} scratch={scratch}"
-            ));
-        }
-        None
     }
 
     fn do_explain(&self, payload: &str, local: &mut LocalMetrics) -> String {
@@ -940,22 +880,6 @@ mod tests {
         assert!(lines[1].contains("E(a,c)") && lines[1].contains("[rule #0]"), "{t}");
         assert!(lines[2].contains("E(a,b)") && lines[2].contains("[database]"), "{t}");
         assert!(lines[4].starts_with("err not resident: E(c,a)"), "{t}");
-    }
-
-    #[test]
-    fn oracle_mode_agrees_with_resident_answers() {
-        let prog = tc_program();
-        let server =
-            Server::new(&prog, ServeConfig { oracle: true, ..ServeConfig::default() });
-        let t = transcript(
-            &server,
-            "query E(a,c)\ninsert E(c,a).\nquery E(a,a)\nretract E(a,b).\nquery E(a,a)",
-        );
-        assert!(!t.contains("oracle-mismatch"), "{t}");
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines[0], "true");
-        assert_eq!(lines[2], "true");
-        assert_eq!(lines[4], "false");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Allocation budgets of the resident store. Copying an instance and
-//! serving one write each allocate a number of times that does not grow
-//! with the instance: a counting global allocator pins this without
-//! timing anything.
+//! Allocation budgets of the resident store. Copying an instance,
+//! serving one write and explaining one fact each allocate a number of
+//! times that does not grow with the instance: a counting global
+//! allocator pins this without timing anything.
 //!
 //! A `GlobalAlloc` impl is `unsafe` by definition, hence the one
 //! exception to the workspace's `unsafe_code` lint, confined to this
 //! test binary: the allocator only counts and forwards to `System`.
 #![allow(unsafe_code)]
 
+use bddfc_chase::{IncrementalChase, MaintainConfig};
 use bddfc_core::prng::SplitMix64;
 use bddfc_core::{par, parse_program, ConstId, Fact, Instance, Vocabulary};
 use bddfc_serve::{ServeConfig, Server};
@@ -153,4 +154,34 @@ fn a_write_allocates_within_a_fixed_budget() {
             );
         }
     });
+}
+
+/// Allocations of explaining `E(c0,c2)` in the incrementally kept
+/// transitive closure of a chain of `n` edges. The fact's derivation
+/// cone is the same two base edges at every chain length.
+fn explain_allocations(n: usize) -> u64 {
+    let mut src = String::from("E(X,Y), E(Y,Z) -> E(X,Z).\n");
+    for i in 0..n {
+        src.push_str(&format!("E(c{i},c{}).\n", i + 1));
+    }
+    let prog = parse_program(&src).expect("chain program parses");
+    let mut voc = prog.voc.clone();
+    let mut inc = IncrementalChase::new(&prog.theory);
+    inc.insert(prog.instance.facts(), &mut voc, MaintainConfig::default());
+    assert!(inc.complete(), "the closure of a chain is finite");
+    let e = voc.find_pred("E").expect("E is declared");
+    let c = |name: &str| voc.find_const(name).expect("chain constant");
+    let fact = Fact::new(e, vec![c("c0"), c("c2")]);
+    let explain = || {
+        let tree = inc.explain(&fact).expect("E(c0,c2) is derived");
+        assert_eq!((tree.height(), tree.size()), (1, 1));
+    };
+    explain();
+    allocations(explain)
+}
+
+#[test]
+fn explaining_a_fact_allocates_for_its_derivation_cone_only() {
+    let (short, long) = (explain_allocations(30), explain_allocations(60));
+    assert_eq!(short, long, "explain copies state that grows with the instance");
 }
